@@ -1,8 +1,7 @@
 //! Closed-loop single-accelerator driver.
 //!
-//! Several of the paper's experiments (Table 4, Fig. 10, Fig. 11, the
-//! memory-pipeline and traversal-length appendices) exercise one
-//! accelerator in isolation. This harness keeps a fixed number of iterator
+//! Several of the paper's experiments (Table 4, Fig. 11, the
+//! memory-pipeline appendix) exercise one accelerator in isolation. This harness keeps a fixed number of iterator
 //! requests outstanding against a single [`Accelerator`] and reports
 //! latency, throughput, and pipeline utilization.
 

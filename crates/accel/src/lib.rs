@@ -17,8 +17,9 @@
 //!   appendix's full-utilization claim.
 //! * [`estimate`] — the Table 4 LUT/BRAM area model (fitted; the only
 //!   synthesized artifact we substitute).
-//! * [`run_closed_loop`] — the single-accelerator harness behind Table 4,
-//!   Fig. 10 and Fig. 11.
+//! * [`run_closed_loop`] — the single-accelerator harness the root
+//!   package's `tests/paper_claims.rs` drives for Table 4, Fig. 11 and the
+//!   appendix memory-pipeline claim.
 //!
 //! # Examples
 //!

@@ -1,36 +1,28 @@
 //! # pulse-bench
 //!
-//! Shared drivers for the benchmark harness that regenerates every table
-//! and figure of the paper's evaluation. Each `benches/*.rs` target is a
-//! thin `main()` over these builders; `cargo bench` runs them all and
-//! prints paper-style rows (paper value ⇒ measured value).
-//!
-//! Working sets are scaled from the paper's multi-GB deployments (factors
-//! printed by each bench); every run is deterministic.
-//!
-//! Beyond the per-figure replays, [`sweep`] runs the extended evaluation's
-//! headline shape: an open-loop load ladder (offered kops → p50/p95/p99
-//! latency + goodput) over any engine behind the shared
-//! [`Engine`](pulse::Engine) trait, emitted as a `BENCH_sweep.json`-style
-//! report via [`sweep_json`]. Ladder factories exist for every evaluated
-//! family — pulse over WebService/WiredTiger/BTrDB ([`pulse_app_factory`])
-//! and the RPC and swap-cache baselines
-//! ([`baseline_webservice_factory`]) — and the sustained-load headline
+//! The open-loop sweep harness: [`sweep`] runs a load ladder (offered
+//! kops → p50/p95/p99 latency + goodput) over any engine behind the shared
+//! [`Engine`](pulse::Engine) trait, [`sweep_par_with`] runs many curves on
+//! a worker pool with byte-identical results, and [`sweep_json`] /
+//! [`parse_sweep_json`] write and read the `BENCH_sweep.json` document.
+//! Ladder factories exist for every evaluated family — pulse over
+//! WebService/WiredTiger/BTrDB ([`pulse_app_factory`]) and the RPC and
+//! swap-cache baselines over the identical deployments
+//! ([`baseline_app_factory`]) — and the sustained-load headline
 //! ([`SweepReport::max_load_under_p99`]) only counts rungs whose goodput
-//! actually kept up with the offered load.
+//! actually kept up with the offered load. The paper's figure claims are
+//! asserted on this path by the root package's `tests/paper_claims.rs`.
 
 #![warn(missing_docs)]
 
-use pulse_baselines::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, SwapConfig};
-use pulse_core::{
-    ClusterConfig, ClusterReport, DispatchConfig, Phase, PhaseAttribution, PulseCluster, PulseMode,
-    PHASES,
-};
-use pulse_ds::{BuildCtx, TreePlacement};
-use pulse_mem::{ClusterAllocator, ClusterMemory, FaultEvent, Placement};
+use pulse::AppSpec;
+use pulse_baselines::RpcConfig;
+use pulse_core::{DispatchConfig, Phase, PhaseAttribution, PHASES};
+use pulse_ds::{BuildCtx, DsError, TreePlacement};
+use pulse_mem::FaultEvent;
 use pulse_workloads::{
-    AppRequest, Application, Btrdb, BtrdbConfig, Distribution, WebService, WebServiceConfig,
-    WiredTiger, WiredTigerConfig, YcsbWorkload,
+    AppRequest, Application, BtrdbConfig, Distribution, WebService, WebServiceConfig, WiredTiger,
+    WiredTigerConfig, YcsbWorkload,
 };
 
 /// Default extent granularity for end-to-end runs (the scaled analogue of
@@ -65,152 +57,39 @@ pub enum AppKind {
 }
 
 impl AppKind {
-    /// Figure label.
-    pub fn label(&self) -> String {
-        match self {
-            AppKind::WebService(w) => format!("WebService {w}"),
-            AppKind::WiredTiger => "WiredTiger YCSB-E".into(),
-            AppKind::Btrdb(w) => format!("BTrDB res:{w}s"),
+    /// The deployment this kind names over `nodes` memory nodes, as a build
+    /// step for [`pulse::PulseBuilder::build_with`] or
+    /// [`pulse::PulseBuilder::baseline_with`] — one definition, so pulse and
+    /// baseline curves run the identical deployment by construction.
+    pub fn build(
+        self,
+        nodes: usize,
+    ) -> impl FnOnce(&mut BuildCtx<'_>) -> Result<Box<dyn Application>, DsError> {
+        move |ctx| {
+            Ok(match self {
+                AppKind::WebService(workload) => {
+                    Box::new(sweep_webservice_cfg(workload, Distribution::Zipfian).build_app(ctx)?)
+                }
+                AppKind::WiredTiger => Box::new(
+                    WiredTigerConfig {
+                        keys: 30_000,
+                        placement: TreePlacement::Partitioned { nodes },
+                        ..Default::default()
+                    }
+                    .build_app(ctx)?,
+                ),
+                AppKind::Btrdb(window) => Box::new(
+                    BtrdbConfig {
+                        duration_secs: 900,
+                        window_secs: window,
+                        placement: TreePlacement::Partitioned { nodes },
+                        ..Default::default()
+                    }
+                    .build_app(ctx)?,
+                ),
+            })
         }
     }
-}
-
-/// Builds an application deployment and pre-generates its request stream.
-pub fn build_app(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    granularity: u64,
-) -> (ClusterMemory, Vec<AppRequest>) {
-    let mut mem = ClusterMemory::new(nodes);
-    let mut alloc = ClusterAllocator::new(Placement::Striped, granularity);
-    let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-    let reqs: Vec<AppRequest> = match kind {
-        AppKind::WebService(workload) => {
-            let mut app = WebService::build(&mut ctx, sweep_webservice_cfg(workload, dist))
-                .expect("build webservice");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-        AppKind::WiredTiger => {
-            let mut app = WiredTiger::build(
-                &mut ctx,
-                WiredTigerConfig {
-                    keys: 60_000,
-                    distribution: dist,
-                    placement: TreePlacement::Partitioned { nodes },
-                    ..Default::default()
-                },
-            )
-            .expect("build wiredtiger");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-        AppKind::Btrdb(window) => {
-            let mut app = Btrdb::build(
-                &mut ctx,
-                BtrdbConfig {
-                    duration_secs: 900,
-                    window_secs: window,
-                    placement: TreePlacement::Partitioned { nodes },
-                    ..Default::default()
-                },
-            )
-            .expect("build btrdb");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-    };
-    (mem, reqs)
-}
-
-/// Runs the pulse cluster over a deployment.
-pub fn run_pulse(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    mode: PulseMode,
-    concurrency: usize,
-) -> ClusterReport {
-    let (mem, reqs) = build_app(kind, nodes, dist, requests, DEFAULT_GRANULARITY);
-    let mut cluster = PulseCluster::new(
-        ClusterConfig {
-            mode,
-            ..ClusterConfig::default()
-        },
-        mem,
-    );
-    cluster.run(reqs, concurrency)
-}
-
-/// Runs every baseline over a (fresh) deployment; returns
-/// `[cache-based, rpc, rpc-arm, cache+rpc]`.
-pub fn run_baselines(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    concurrency: usize,
-) -> Vec<BaselineReport> {
-    let (mut mem, reqs) = build_app(kind, nodes, dist, requests, DEFAULT_GRANULARITY);
-    let swap = run_swap_cache(
-        &mut mem,
-        &reqs,
-        concurrency,
-        SwapConfig {
-            cache_bytes: 8 << 20, // 2 GB scaled by the working-set factor
-            ..SwapConfig::default()
-        },
-    );
-    let rpc = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::rpc());
-    let arm = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::rpc_arm());
-    let aifm = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::cache_rpc(8 << 20));
-    vec![swap, rpc, arm, aifm]
-}
-
-/// Prints a standard bench banner.
-pub fn banner(figure: &str, what: &str) {
-    println!("==============================================================");
-    println!("{figure} — {what}");
-    println!("(deterministic simulation; working sets scaled ~1/1000 of the");
-    println!(" paper's testbed, all swept ratios preserved; see DESIGN.md)");
-    println!("==============================================================");
-}
-
-/// Formats microseconds with two decimals.
-pub fn us(t: pulse_sim::SimTime) -> String {
-    format!("{:8.2}", t.as_micros_f64())
-}
-
-/// Formats a throughput in Kops/s.
-pub fn kops(ops_per_sec: f64) -> String {
-    format!("{:9.1}", ops_per_sec / 1e3)
-}
-
-/// Latency is measured at light load and throughput at heavy load, as the
-/// paper's closed-loop clients do; returns `(latency report, peak report)`.
-pub fn run_pulse_both(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    mode: PulseMode,
-) -> (ClusterReport, ClusterReport) {
-    let lat = run_pulse(kind, nodes, dist, requests, mode, 8);
-    let peak = run_pulse(kind, nodes, dist, requests, mode, 128);
-    (lat, peak)
-}
-
-/// Baseline counterpart of [`run_pulse_both`]; reports are
-/// `[cache-based, rpc, rpc-arm, cache+rpc]` pairs `(latency, peak)`.
-pub fn run_baselines_both(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-) -> Vec<(BaselineReport, BaselineReport)> {
-    let lat = run_baselines(kind, nodes, dist, requests, 8);
-    let peak = run_baselines(kind, nodes, dist, requests, 128);
-    lat.into_iter().zip(peak).collect()
 }
 
 // ------------------------------------------------------- latency-vs-load
@@ -1142,40 +1021,13 @@ pub fn pulse_app_factory(
     dispatch: DispatchConfig,
 ) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
     move || {
-        let builder = pulse::PulseBuilder::new()
+        let (runtime, mut app) = pulse::PulseBuilder::new()
             .nodes(nodes)
             .cpus(cpus)
             .dispatch(dispatch)
-            .granularity(DEFAULT_GRANULARITY);
-        let (runtime, mut app): (_, Box<dyn Application>) = match kind {
-            AppKind::WebService(workload) => {
-                let (runtime, app) = builder
-                    .app(sweep_webservice_cfg(workload, Distribution::Zipfian))
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-            AppKind::WiredTiger => {
-                let (runtime, app) = builder
-                    .app(WiredTigerConfig {
-                        keys: 30_000,
-                        placement: TreePlacement::Partitioned { nodes },
-                        ..Default::default()
-                    })
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-            AppKind::Btrdb(window) => {
-                let (runtime, app) = builder
-                    .app(BtrdbConfig {
-                        duration_secs: 900,
-                        window_secs: window,
-                        placement: TreePlacement::Partitioned { nodes },
-                        ..Default::default()
-                    })
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-        };
+            .granularity(DEFAULT_GRANULARITY)
+            .build_with(kind.build(nodes))
+            .expect("wire pulse rack");
         let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
         (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
     }
@@ -1204,7 +1056,7 @@ pub fn pulse_webservice_factory(
 /// Zipf-skewed keys concentrate traversals on the hot buckets' owning
 /// memory node, so the curve exposes the incast the paper's in-network
 /// routing argument is about; the matching RPC curve comes from
-/// [`baseline_webservice_factory`] with `RpcConfig::topology` set.
+/// [`baseline_app_factory`] with `RpcConfig::topology` set.
 pub fn fabric_pulse_webservice_factory(
     nodes: usize,
     cpus: usize,
@@ -1366,7 +1218,7 @@ pub fn baseline_ycsb_factory(
 ) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
     assert!(
         workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use baseline_webservice_factory"
+        "YCSB-C is read-only; use baseline_app_factory"
     );
     move || {
         let builder = pulse::PulseBuilder::new()
@@ -1553,13 +1405,14 @@ pub fn cached_baseline_webservice_factory(
     }
 }
 
-/// Baseline counterpart of [`pulse_app_factory`], over an identical
-/// WebService deployment, behind the same [`Engine`](pulse::Engine) trait.
+/// Baseline counterpart of [`pulse_app_factory`], over the identical
+/// [`AppKind`] deployment, behind the same [`Engine`](pulse::Engine) trait.
 /// Dispatch contention rides in the baseline's own config
 /// (`RpcConfig::dispatch` / `SwapConfig::dispatch`).
-pub fn baseline_webservice_factory(
+pub fn baseline_app_factory(
+    kind: AppKind,
     nodes: usize,
-    kind: pulse::BaselineKind,
+    baseline: pulse::BaselineKind,
     concurrency: usize,
     requests: usize,
 ) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
@@ -1568,10 +1421,7 @@ pub fn baseline_webservice_factory(
             .nodes(nodes)
             .window(concurrency)
             .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(
-                kind.clone(),
-                sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian),
-            )
+            .baseline_with(baseline.clone(), kind.build(nodes))
             .expect("wire baseline");
         let reqs = (0..requests).map(|_| app.next_request()).collect();
         (Box::new(engine) as Box<dyn pulse::Engine>, reqs)

@@ -12,8 +12,8 @@
 //!   objects ride responses via near-memory gather. Execution is
 //!   incremental — [`PulseCluster::submit_at`], [`PulseCluster::step`],
 //!   [`PulseCluster::take_completions`] — with the closed-loop batch
-//!   [`PulseCluster::run`] layered on top, so open-loop runtimes and the
-//!   paper's batch benches share one event loop.
+//!   [`PulseCluster::run`] layered on top, so open-loop runtimes and
+//!   closed-loop batches share one event loop.
 //! * [`PulseMode::PulseAcc`] — the Fig. 9 ablation that bounces crossings
 //!   through the CPU node instead of the switch.
 //! * [`cxl_study`] — the §7/Fig. 12 CXL-interconnect model.

@@ -1,6 +1,5 @@
 //! The Table 1/5 catalogue: the thirteen data structures pulse ports, each
-//! mapped to its shared internal base function — used by the `table5`
-//! bench to validate and print the full matrix, and by the runtime
+//! mapped to its shared internal base function — used by the runtime
 //! integration tests to drive every port through the same
 //! [`Traversal`]-based submit/poll path.
 

@@ -9,8 +9,7 @@
 //!   telemetry at 1–8 s resolutions.
 //!
 //! Working sets are scaled from the paper's multi-GB deployments to tens of
-//! MBs (the ratios the experiments sweep are preserved; every bench prints
-//! its scale factor).
+//! MBs (the ratios the experiments sweep are preserved).
 
 use crate::request::{AddrSource, AppRequest, ObjectIo, StartPtr, TraversalStage};
 use crate::upmu::{self, Channel};

@@ -98,7 +98,7 @@ use pulse::{
     TraceConfig, WebServiceConfig, YcsbWorkload,
 };
 use pulse_bench::{
-    baseline_webservice_factory, baseline_ycsb_factory, cached_baseline_webservice_factory,
+    baseline_app_factory, baseline_ycsb_factory, cached_baseline_webservice_factory,
     cached_pulse_webservice_factory, crashed_pulse_webservice_factory,
     crashed_rpc_webservice_factory, fabric_pulse_webservice_factory, pulse_app_factory,
     pulse_ycsb_factory, simspeed_json, spec_pulse_webservice_factory, spec_pulse_ycsb_factory,
@@ -186,7 +186,8 @@ fn main() -> Result<(), pulse::Error> {
         ),
         (
             "RPC",
-            Box::new(baseline_webservice_factory(
+            Box::new(baseline_app_factory(
+                webservice,
                 NODES,
                 BaselineKind::Rpc(rpc_cfg(dispatch)),
                 BASELINE_CLIENTS,
@@ -195,7 +196,8 @@ fn main() -> Result<(), pulse::Error> {
         ),
         (
             "Cache-based",
-            Box::new(baseline_webservice_factory(
+            Box::new(baseline_app_factory(
+                webservice,
                 NODES,
                 BaselineKind::SwapCache(SwapConfig {
                     cache_bytes: 8 << 20,
@@ -322,7 +324,8 @@ fn main() -> Result<(), pulse::Error> {
         ),
         (
             "RPC-leafspine-hot",
-            Box::new(baseline_webservice_factory(
+            Box::new(baseline_app_factory(
+                webservice,
                 FABRIC_NODES,
                 BaselineKind::Rpc(RpcConfig {
                     topology: FABRIC_TOPOLOGY,

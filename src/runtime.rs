@@ -12,8 +12,8 @@
 //!   completes (or nothing is left to do) and returns the completions.
 //! * [`Runtime::drain`] runs everything to completion and returns the
 //!   aggregate [`ClusterReport`] — bit-identical to the closed-loop
-//!   [`PulseCluster::run`] with `concurrency == window`, so the Fig. 7
-//!   batch benches and open-loop traffic share one code path.
+//!   [`PulseCluster::run`] with `concurrency == window`, so closed-loop
+//!   batches and open-loop traffic share one code path.
 //! * [`Runtime::submit_at`] is the open-loop entry: it timestamps the
 //!   request with its *arrival time* and injects it immediately, bypassing
 //!   the window — latency then includes every queueing effect, which is
@@ -21,6 +21,7 @@
 
 use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
+use pulse_accel::PipelineOrg;
 use pulse_core::{
     CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
     DispatchConfig, FaultEvent, PhaseAttribution, PulseCluster, PulseMode, TraceConfig, TraceSink,
@@ -281,6 +282,16 @@ impl PulseBuilder {
             return Err(Error::Config(
                 "a CPU node needs at least one dispatch context".into(),
             ));
+        }
+        let org = self.config.accel.org;
+        let pipelines = match org {
+            PipelineOrg::Disaggregated { logic, memory } => logic.min(memory),
+            PipelineOrg::Coupled { cores } => cores,
+        };
+        if pipelines == 0 {
+            return Err(Error::Config(format!(
+                "accelerator organization {org:?} leaves a pipeline pool empty"
+            )));
         }
         if self.granularity == 0 {
             return Err(Error::Config("extent granularity must be positive".into()));

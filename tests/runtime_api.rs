@@ -4,6 +4,7 @@
 //! closed-loop `PulseCluster::run` reports bit-for-bit, and malformed
 //! requests surface as typed errors instead of panics.
 
+use pulse::accel::{AccelConfig, PipelineOrg};
 use pulse::dispatch::DispatchEngine;
 use pulse::ds::catalog;
 use pulse::sim::SimTime;
@@ -11,8 +12,8 @@ use pulse::workloads::{
     execute_functional, Application, ArrivalProcess, StartPtr, TraversalStage, WebServiceConfig,
 };
 use pulse::{
-    AppRequest, CacheConfig, DispatchConfig, Engine, Error, Offloaded, OpenLoopDriver, Placement,
-    PulseBuilder, PulseCluster, RequestError,
+    AppRequest, CacheConfig, ClusterConfig, DispatchConfig, Engine, Error, Offloaded,
+    OpenLoopDriver, Placement, PulseBuilder, PulseCluster, RequestError,
 };
 use std::sync::Arc;
 
@@ -559,6 +560,32 @@ fn builder_rejects_invalid_wiring() {
         .build_with(|_| Ok(()))
         .unwrap_err();
     assert!(matches!(err, Error::Config(_)), "{err:?}");
+    // An accelerator without a pipeline of some kind is rejected at build
+    // time, not left to panic inside the rack.
+    for org in [
+        PipelineOrg::Disaggregated {
+            logic: 0,
+            memory: 4,
+        },
+        PipelineOrg::Disaggregated {
+            logic: 1,
+            memory: 0,
+        },
+        PipelineOrg::Coupled { cores: 0 },
+    ] {
+        let accel = AccelConfig {
+            org,
+            ..AccelConfig::default()
+        };
+        let err = PulseBuilder::new()
+            .config(ClusterConfig {
+                accel,
+                ..ClusterConfig::default()
+            })
+            .build_with(|_| Ok(()))
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{org:?}: {err:?}");
+    }
 }
 
 /// Manually staged multi-stage requests flow through submit/poll with
