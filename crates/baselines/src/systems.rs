@@ -955,11 +955,14 @@ fn rpc_impl(
             (end, traversal, pure)
         });
 
+    // Unavailable requests never completed, so they count toward neither
+    // `completed` nor the throughput derived from it.
+    let completed = requests.len() as u64 - unavailable;
     BaselineReport {
         label: cfg.label(),
-        completed: requests.len() as u64 - unavailable,
+        completed,
         latency,
-        throughput: measured_rate(requests.len(), makespan, arrivals),
+        throughput: measured_rate(completed as usize, makespan, arrivals),
         traversal_time: traversal_total,
         total_time: latency_total,
         net_bytes: fabric
@@ -1354,6 +1357,14 @@ mod tests {
         assert_eq!(
             faulted.completed + faulted.unavailable_completions,
             reqs.len() as u64
+        );
+        // Throughput counts completions only: the lost requests are not
+        // served load.
+        let served = faulted.throughput * faulted.makespan.as_secs_f64();
+        assert!(
+            (served - faulted.completed as f64).abs() < 1e-6 * faulted.completed as f64,
+            "throughput x makespan = {served}, completed = {}",
+            faulted.completed
         );
     }
 

@@ -3,25 +3,25 @@
 //! The open-loop sweep harness: [`sweep`] runs a load ladder (offered
 //! kops → p50/p95/p99 latency + goodput) over any engine behind the shared
 //! [`Engine`](pulse::Engine) trait, [`sweep_par_with`] runs many curves on
-//! a worker pool with byte-identical results, and [`sweep_json`] /
-//! [`parse_sweep_json`] write and read the `BENCH_sweep.json` document.
-//! Ladder factories exist for every evaluated family — pulse over
-//! WebService/WiredTiger/BTrDB ([`pulse_app_factory`]) and the RPC and
-//! swap-cache baselines over the identical deployments
-//! ([`baseline_app_factory`]) — and the sustained-load headline
+//! a worker pool with byte-identical results, and [`sweep_json`] writes the
+//! `BENCH_sweep.json` document. Two engine factories build every evaluated
+//! curve from a caller-configured [`pulse::PulseBuilder`] and an
+//! [`AppKind`] deployment: [`rack_factory`] for the pulse rack and
+//! [`baseline_factory`] for the RPC and swap-cache baselines over the
+//! identical deployment. The sustained-load headline
 //! ([`SweepReport::max_load_under_p99`]) only counts rungs whose goodput
 //! actually kept up with the offered load. The paper's figure claims are
 //! asserted on this path by the root package's `tests/paper_claims.rs`.
 
 #![warn(missing_docs)]
 
-use pulse::AppSpec;
-use pulse_baselines::RpcConfig;
-use pulse_core::{DispatchConfig, Phase, PhaseAttribution, PHASES};
+use pulse::{AppSpec, RunCounters, YcsbDriver};
+use pulse_core::{Phase, PhaseAttribution, PHASES};
 use pulse_ds::{BuildCtx, DsError, TreePlacement};
-use pulse_mem::FaultEvent;
+use pulse_mem::ClusterMemory;
+use pulse_mutation::InsertArena;
 use pulse_workloads::{
-    AppRequest, Application, BtrdbConfig, Distribution, WebService, WebServiceConfig, WiredTiger,
+    AppRequest, Application, BtrdbConfig, Distribution, WebServiceConfig, WiredTiger,
     WiredTigerConfig, YcsbWorkload,
 };
 
@@ -29,65 +29,145 @@ use pulse_workloads::{
 /// LegoOS's 2 MB allocations).
 pub const DEFAULT_GRANULARITY: u64 = 2 << 20;
 
-/// Keys in every sweep WebService deployment (read-only and YCSB-A/B
-/// alike) — one definition so cached, cache-less, pulse, and baseline
-/// curves all run the identical deployment by construction.
-const SWEEP_WEBSERVICE_KEYS: u64 = 6_000;
+/// Keys in every sweep WebService deployment (read-only and YCSB alike).
+const WEBSERVICE_KEYS: u64 = 6_000;
+/// Keys in every sweep WiredTiger deployment (read-only and YCSB-E alike).
+const TREE_KEYS: u64 = 30_000;
+/// Insert-arena slab per memory node for YCSB-E structural inserts.
+const YCSB_ARENA_PER_NODE: u64 = 4 << 20;
 
-/// The canonical sweep WebService deployment at a chosen mix and key
-/// distribution.
-fn sweep_webservice_cfg(workload: YcsbWorkload, dist: Distribution) -> WebServiceConfig {
-    WebServiceConfig {
-        keys: SWEEP_WEBSERVICE_KEYS,
-        workload,
-        distribution: dist,
-        ..Default::default()
-    }
-}
-
-/// A workload cell of Fig. 7/8/9.
+/// A workload cell of Fig. 7/8/9 and the extended evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppKind {
-    /// WebService under a YCSB mix.
-    WebService(YcsbWorkload),
-    /// WiredTiger under YCSB-E.
+    /// Read-only WebService lookups under a key distribution.
+    WebService(Distribution),
+    /// WiredTiger under its application's YCSB-E model, which prices an
+    /// insert as a locate plus a leaf write without mutating the tree.
     WiredTiger,
     /// BTrDB at a window resolution (seconds).
     Btrdb(u64),
+    /// A YCSB mix minted by a [`YcsbDriver`], so reads, seqlock-verified
+    /// updates, scans and structural inserts all reach the engine as real
+    /// submissions: A/B/C over the Zipfian WebService hash map, E over the
+    /// WiredTiger B+Tree with an insert arena.
+    Ycsb(YcsbWorkload),
 }
 
 impl AppKind {
-    /// The deployment this kind names over `nodes` memory nodes, as a build
-    /// step for [`pulse::PulseBuilder::build_with`] or
-    /// [`pulse::PulseBuilder::baseline_with`] — one definition, so pulse and
-    /// baseline curves run the identical deployment by construction.
-    pub fn build(
-        self,
-        nodes: usize,
-    ) -> impl FnOnce(&mut BuildCtx<'_>) -> Result<Box<dyn Application>, DsError> {
+    /// The deployment this kind names, as a build step for
+    /// [`pulse::PulseBuilder::build_with`] or
+    /// [`pulse::PulseBuilder::baseline_with`]: one definition, so pulse and
+    /// baseline curves run the identical deployment by construction. Trees
+    /// are partitioned over the builder's memory nodes.
+    ///
+    /// # Panics
+    ///
+    /// The step panics for [`AppKind::Ycsb`], whose stream is minted by a
+    /// driver against the engine's memory rather than by an
+    /// [`Application`]; [`rack_factory`] and [`baseline_factory`] take it.
+    pub fn build(self) -> impl FnOnce(&mut BuildCtx<'_>) -> Result<Box<dyn Application>, DsError> {
         move |ctx| {
             Ok(match self {
-                AppKind::WebService(workload) => {
-                    Box::new(sweep_webservice_cfg(workload, Distribution::Zipfian).build_app(ctx)?)
+                AppKind::WebService(dist) => {
+                    Box::new(webservice_cfg(YcsbWorkload::C, dist).build_app(ctx)?)
                 }
-                AppKind::WiredTiger => Box::new(
-                    WiredTigerConfig {
-                        keys: 30_000,
-                        placement: TreePlacement::Partitioned { nodes },
-                        ..Default::default()
-                    }
-                    .build_app(ctx)?,
-                ),
+                AppKind::WiredTiger => Box::new(tree_cfg(ctx).build_app(ctx)?),
                 AppKind::Btrdb(window) => Box::new(
                     BtrdbConfig {
                         duration_secs: 900,
                         window_secs: window,
-                        placement: TreePlacement::Partitioned { nodes },
+                        placement: TreePlacement::Partitioned {
+                            nodes: ctx.mem.node_count(),
+                        },
                         ..Default::default()
                     }
                     .build_app(ctx)?,
                 ),
+                AppKind::Ycsb(w) => {
+                    panic!(
+                        "YCSB-{w} is minted by a YcsbDriver; use rack_factory or baseline_factory"
+                    )
+                }
             })
+        }
+    }
+
+    /// [`AppKind::build`] for every kind: the YCSB mixes come back as their
+    /// driver.
+    fn deploy(self) -> impl FnOnce(&mut BuildCtx<'_>) -> Result<Stream, DsError> {
+        move |ctx| {
+            let mutation = pulse::MutationConfig::default();
+            Ok(match self {
+                AppKind::Ycsb(YcsbWorkload::E) => {
+                    let cfg = tree_cfg(ctx);
+                    let app = WiredTiger::build(ctx, cfg)?;
+                    let arena = InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
+                    Stream::Ycsb(Box::new(
+                        YcsbDriver::wiredtiger(app, cfg, arena, mutation)
+                            .expect("valid YCSB-E config"),
+                    ))
+                }
+                AppKind::Ycsb(w) => {
+                    let cfg = webservice_cfg(w, Distribution::Zipfian);
+                    let app = cfg.build_app(ctx)?;
+                    Stream::Ycsb(Box::new(
+                        YcsbDriver::webservice(app, cfg, mutation).expect("partitioned deployment"),
+                    ))
+                }
+                kind => Stream::App(kind.build()(ctx)?),
+            })
+        }
+    }
+}
+
+/// The sweep WebService deployment at a mix and key distribution.
+fn webservice_cfg(workload: YcsbWorkload, distribution: Distribution) -> WebServiceConfig {
+    WebServiceConfig {
+        keys: WEBSERVICE_KEYS,
+        workload,
+        distribution,
+        ..Default::default()
+    }
+}
+
+/// The sweep WiredTiger deployment, partitioned over the rack's nodes.
+fn tree_cfg(ctx: &BuildCtx<'_>) -> WiredTigerConfig {
+    WiredTigerConfig {
+        keys: TREE_KEYS,
+        placement: TreePlacement::Partitioned {
+            nodes: ctx.mem.node_count(),
+        },
+        ..Default::default()
+    }
+}
+
+/// What a deployment's build step leaves to mint requests from.
+enum Stream {
+    /// A self-contained request generator.
+    App(Box<dyn Application>),
+    /// A YCSB driver, which mints against the engine's memory.
+    Ycsb(Box<YcsbDriver>),
+}
+
+impl Stream {
+    /// Mints `requests` requests against `mem`. A YCSB stream must not
+    /// degrade an insert to the non-mutating fallback: an exhausted arena
+    /// would keep the curve's update goodput nonzero while the write path
+    /// silently stopped mutating the tree — abort loudly instead of
+    /// trusting it.
+    fn mint(self, mem: &mut ClusterMemory, requests: usize) -> Vec<AppRequest> {
+        match self {
+            Stream::App(mut app) => (0..requests).map(|_| app.next_request()).collect(),
+            Stream::Ycsb(mut driver) => {
+                let reqs = (0..requests).map(|_| driver.next_request(mem)).collect();
+                assert_eq!(
+                    driver.degraded_inserts(),
+                    0,
+                    "insert arena exhausted mid-stream: raise YCSB_ARENA_PER_NODE \
+                     rather than sweeping a curve whose inserts stopped mutating"
+                );
+                reqs
+            }
         }
     }
 }
@@ -120,51 +200,13 @@ pub struct SweepPoint {
     /// (`AppRequest::is_update`), kilo-requests per second. 0 for
     /// read-only curves.
     pub update_goodput_kops: f64,
-    /// Optimistic-concurrency re-issues the rung performed (seqlock
-    /// readers/writers that lost a race). 0 for read-only curves and for
-    /// the sequential replay baselines.
-    pub retries: u64,
-    /// Front-end traversal-cell cache hit rate over the rung: locally
-    /// walked hops over all probes. Exactly 0.0 on every cache-disabled
-    /// curve — CI asserts both directions.
-    pub cache_hit_rate: f64,
-    /// Peak busy fraction over the fabric links into CPU nodes (the
-    /// incast-prone downlinks). Exactly 0.0 on every flat-topology curve,
-    /// where no fabric exists — CI asserts both directions.
-    pub link_utilization: f64,
-    /// Deepest any fabric link's egress FIFO ever got during the rung.
-    /// 0 on flat-topology curves.
-    pub queue_depth: u64,
-    /// Requests redirected onto a surviving replica during the rung.
-    /// Exactly 0 on every curve without a fault schedule — CI asserts it.
-    pub failovers: u64,
-    /// Requests that fault-completed with every replica unreachable (a
-    /// subset of `faulted`). The SLO-under-failure claim: 0 on replicated
-    /// crash curves, nonzero on unreplicated ones.
-    pub unavailable_completions: u64,
-    /// Bytes of background re-replication traffic that competed with the
-    /// rung's foreground requests. Exactly 0 without a crash.
-    pub rereplication_bytes: u64,
-    /// p99 over only the completions inside the degraded window (first
-    /// fault to last repair), microseconds. Exactly 0.0 without faults.
-    pub degraded_p99_us: f64,
+    /// The rung's retry, cache, fabric, failure and ISA-v2 counters.
+    pub counters: RunCounters,
     /// Per-phase latency attribution over the rung's completions. Present
     /// exactly when the rung ran with tracing enabled
     /// ([`pulse::PulseBuilder::trace`]); `None` keeps the default sweep
     /// document byte-identical to the pre-trace schema.
     pub phase: Option<PhasePoint>,
-    /// ISA-v2 speculative next-hop issues that validated wrong and were
-    /// squashed ([`pulse::PulseBuilder::speculation`]). Exactly 0 on every
-    /// curve that doesn't speculate — CI asserts it; the JSON emits the
-    /// ISA-v2 trailer only when some counter is nonzero, so default
-    /// documents stay byte-identical to the pre-ISA-v2 schema.
-    pub mis_speculations: u64,
-    /// ISA-v2 same-node hops fused into a preceding memory-bus transaction
-    /// ([`pulse::PulseBuilder::batching`]). 0 at the default batch window.
-    pub batched_hops: u64,
-    /// Traversal hops skipped by riding an identical in-flight offload
-    /// ([`pulse::PulseBuilder::coalescing`]). 0 with coalescing off.
-    pub coalesced_prefix_hops: u64,
 }
 
 /// Microsecond-domain view of a rung's [`PhaseAttribution`] — the sweep
@@ -236,18 +278,8 @@ impl SweepPoint {
             p99_us: rep.latency.p99.as_micros_f64(),
             goodput_kops: rep.goodput_per_sec / 1e3,
             update_goodput_kops: rep.goodput_per_sec / 1e3 * update_fraction,
-            retries: rep.retries,
-            cache_hit_rate: rep.cache_hit_rate,
-            link_utilization: rep.link_utilization,
-            queue_depth: rep.queue_depth,
-            failovers: rep.failovers,
-            unavailable_completions: rep.unavailable_completions,
-            rereplication_bytes: rep.rereplication_bytes,
-            degraded_p99_us: rep.degraded_p99.as_micros_f64(),
+            counters: rep.counters,
             phase: rep.phase.as_ref().map(PhasePoint::from_attribution),
-            mis_speculations: rep.mis_speculations,
-            batched_hops: rep.batched_hops,
-            coalesced_prefix_hops: rep.coalesced_prefix_hops,
         }
     }
 
@@ -269,6 +301,63 @@ impl SweepPoint {
         let arrival_span_ms = (submitted - 1) as f64 / self.arrived_kops;
         let drain_ms = self.p99_us / 1e3;
         submitted as f64 / (arrival_span_ms + drain_ms)
+    }
+
+    /// The point's row in the sweep document.
+    fn to_json(&self) -> String {
+        let mut row = format!(
+            "{{\"offered_kops\":{:.3},\"arrived_kops\":{:.3},\
+             \"completed\":{},\"faulted\":{},\
+             \"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3},\
+             \"goodput_kops\":{:.3},\"update_goodput_kops\":{:.3}",
+            self.offered_kops,
+            self.arrived_kops,
+            self.completed,
+            self.faulted,
+            self.p50_us,
+            self.p95_us,
+            self.p99_us,
+            self.goodput_kops,
+            self.update_goodput_kops,
+        );
+        write_counters(&mut row, &self.counters);
+        // Optional trailer, absent on untraced rungs so the default
+        // document stays byte-identical to the pre-trace schema (CI
+        // byte-compares it against the pinned golden).
+        if let Some(phase) = &self.phase {
+            row.push_str(",\"phase\":");
+            row.push_str(&phase.to_json());
+        }
+        row.push('}');
+        row
+    }
+}
+
+/// Appends a rung's [`RunCounters`] to its sweep row. The ISA-v2 trailer
+/// is written only when the rung speculated, batched, or coalesced, which
+/// keeps every default curve byte-identical to the pre-ISA-v2 schema (CI
+/// byte-compares the default document against the pinned golden).
+fn write_counters(row: &mut String, c: &RunCounters) {
+    row.push_str(&format!(
+        ",\"retries\":{},\"cache_hit_rate\":{:.4},\
+         \"link_utilization\":{:.4},\"queue_depth\":{},\
+         \"failovers\":{},\"unavailable_completions\":{},\
+         \"rereplication_bytes\":{},\"degraded_p99_us\":{:.3}",
+        c.retries,
+        c.cache_hit_rate,
+        c.link_utilization,
+        c.queue_depth,
+        c.failovers,
+        c.unavailable_completions,
+        c.rereplication_bytes,
+        c.degraded_p99.as_micros_f64(),
+    ));
+    if c.mis_speculations + c.batched_hops + c.coalesced_prefix_hops > 0 {
+        row.push_str(&format!(
+            ",\"mis_speculations\":{},\"batched_hops\":{},\
+             \"coalesced_prefix_hops\":{}",
+            c.mis_speculations, c.batched_hops, c.coalesced_prefix_hops
+        ));
     }
 }
 
@@ -316,60 +405,7 @@ impl SweepReport {
     /// Serializes the curve as a JSON object (hand-rolled; the workspace
     /// is offline and carries no serde).
     pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut row = format!(
-                    "{{\"offered_kops\":{:.3},\"arrived_kops\":{:.3},\
-                     \"completed\":{},\"faulted\":{},\
-                     \"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3},\
-                     \"goodput_kops\":{:.3},\"update_goodput_kops\":{:.3},\
-                     \"retries\":{},\"cache_hit_rate\":{:.4},\
-                     \"link_utilization\":{:.4},\"queue_depth\":{},\
-                     \"failovers\":{},\"unavailable_completions\":{},\
-                     \"rereplication_bytes\":{},\"degraded_p99_us\":{:.3}",
-                    p.offered_kops,
-                    p.arrived_kops,
-                    p.completed,
-                    p.faulted,
-                    p.p50_us,
-                    p.p95_us,
-                    p.p99_us,
-                    p.goodput_kops,
-                    p.update_goodput_kops,
-                    p.retries,
-                    p.cache_hit_rate,
-                    p.link_utilization,
-                    p.queue_depth,
-                    p.failovers,
-                    p.unavailable_completions,
-                    p.rereplication_bytes,
-                    p.degraded_p99_us
-                );
-                // Optional ISA-v2 trailer, absent whenever the rung never
-                // speculated, batched, or coalesced — which keeps every
-                // default curve byte-identical to the pre-ISA-v2 schema
-                // (CI byte-compares the default document against the
-                // pinned golden).
-                if p.mis_speculations + p.batched_hops + p.coalesced_prefix_hops > 0 {
-                    row.push_str(&format!(
-                        ",\"mis_speculations\":{},\"batched_hops\":{},\
-                         \"coalesced_prefix_hops\":{}",
-                        p.mis_speculations, p.batched_hops, p.coalesced_prefix_hops
-                    ));
-                }
-                // Optional trailer, absent on untraced rungs so the
-                // default document stays byte-identical to the pre-trace
-                // schema (CI byte-compares it against the pinned golden).
-                if let Some(phase) = &p.phase {
-                    row.push_str(",\"phase\":");
-                    row.push_str(&phase.to_json());
-                }
-                row.push('}');
-                row
-            })
-            .collect();
+        let points: Vec<String> = self.points.iter().map(SweepPoint::to_json).collect();
         format!(
             "{{\"label\":\"{}\",\"points\":[{}]}}",
             json_escape(&self.label),
@@ -398,286 +434,6 @@ fn json_escape(s: &str) -> String {
 pub fn sweep_json(reports: &[SweepReport]) -> String {
     let curves: Vec<String> = reports.iter().map(SweepReport::to_json).collect();
     format!("{{\"sweep\":[{}]}}", curves.join(","))
-}
-
-// ------------------------------------------------- sweep-schema round trip
-
-/// A minimal JSON value, just rich enough to read our own emission back.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Json::Num(v)) => Ok(*v),
-            _ => Err(format!("missing or non-numeric field {key:?}")),
-        }
-    }
-}
-
-struct JsonReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonReader<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    let key = match self.value()? {
-                        Json::Str(s) => s,
-                        other => return Err(format!("non-string key {other:?}")),
-                    };
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        other => return Err(format!("bad object separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.bytes.get(self.pos) {
-                        None => return Err("unterminated string".into()),
-                        Some(b'"') => {
-                            self.pos += 1;
-                            return Ok(Json::Str(s));
-                        }
-                        Some(b'\\') => {
-                            self.pos += 1;
-                            match self.bytes.get(self.pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'u') => {
-                                    let hex = self
-                                        .bytes
-                                        .get(self.pos + 1..self.pos + 5)
-                                        .ok_or("truncated \\u escape")?;
-                                    let code = u32::from_str_radix(
-                                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                        16,
-                                    )
-                                    .map_err(|e| e.to_string())?;
-                                    s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                                    self.pos += 4;
-                                }
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(&b) => {
-                            // Our emitter escapes all control chars, so any
-                            // raw byte here is part of a UTF-8 sequence.
-                            let start = self.pos;
-                            let mut end = self.pos + 1;
-                            if b >= 0x80 {
-                                while self.bytes.get(end).is_some_and(|&x| x & 0xC0 == 0x80) {
-                                    end += 1;
-                                }
-                            }
-                            s.push_str(
-                                std::str::from_utf8(&self.bytes[start..end])
-                                    .map_err(|e| e.to_string())?,
-                            );
-                            self.pos = end;
-                        }
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|&x| {
-                    x.is_ascii_digit() || matches!(x, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| e.to_string())?
-                    .parse::<f64>()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number: {e}"))
-            }
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-}
-
-/// Reads a point's optional ISA-v2 counter trailer: `None` when all three
-/// keys are absent (the rung never speculated, batched, or coalesced), the
-/// three counters when all are present, and an error — the same
-/// pruned-field rejection as any required key — when only some are.
-fn isa_v2_trailer(p: &Json) -> Result<Option<(u64, u64, u64)>, String> {
-    const KEYS: [&str; 3] = ["mis_speculations", "batched_hops", "coalesced_prefix_hops"];
-    if KEYS.iter().all(|k| p.get(k).is_none()) {
-        return Ok(None);
-    }
-    Ok(Some((
-        p.num(KEYS[0])? as u64,
-        p.num(KEYS[1])? as u64,
-        p.num(KEYS[2])? as u64,
-    )))
-}
-
-/// Parses a `BENCH_sweep.json` document back into [`SweepReport`]s. Every
-/// [`SweepPoint`] field must be present in every point — the schema
-/// round-trip guard that keeps new fields (like `cache_hit_rate`) from
-/// silently vanishing from the document the CI label greps inspect.
-///
-/// # Errors
-///
-/// A description of the first malformed or missing piece.
-pub fn parse_sweep_json(doc: &str) -> Result<Vec<SweepReport>, String> {
-    let mut reader = JsonReader {
-        bytes: doc.as_bytes(),
-        pos: 0,
-    };
-    let root = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(format!("trailing bytes at {}", reader.pos));
-    }
-    let curves = match root.get("sweep") {
-        Some(Json::Arr(curves)) => curves,
-        _ => return Err("document must be {\"sweep\": [...]}".into()),
-    };
-    curves
-        .iter()
-        .map(|curve| {
-            let label = match curve.get("label") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => return Err("curve missing string \"label\"".into()),
-            };
-            let points = match curve.get("points") {
-                Some(Json::Arr(points)) => points,
-                _ => return Err(format!("curve {label:?} missing \"points\" array")),
-            };
-            let points = points
-                .iter()
-                .map(|p| {
-                    let isa_v2 = isa_v2_trailer(p)?;
-                    Ok(SweepPoint {
-                        offered_kops: p.num("offered_kops")?,
-                        arrived_kops: p.num("arrived_kops")?,
-                        completed: p.num("completed")? as u64,
-                        faulted: p.num("faulted")? as u64,
-                        p50_us: p.num("p50_us")?,
-                        p95_us: p.num("p95_us")?,
-                        p99_us: p.num("p99_us")?,
-                        goodput_kops: p.num("goodput_kops")?,
-                        update_goodput_kops: p.num("update_goodput_kops")?,
-                        retries: p.num("retries")? as u64,
-                        cache_hit_rate: p.num("cache_hit_rate")?,
-                        link_utilization: p.num("link_utilization")?,
-                        queue_depth: p.num("queue_depth")? as u64,
-                        failovers: p.num("failovers")? as u64,
-                        unavailable_completions: p.num("unavailable_completions")? as u64,
-                        rereplication_bytes: p.num("rereplication_bytes")? as u64,
-                        degraded_p99_us: p.num("degraded_p99_us")?,
-                        // Optional ISA-v2 trailer: absent means the rung
-                        // never speculated/batched/coalesced (all zero),
-                        // but a partially-present trailer is rejected like
-                        // any other pruned field.
-                        mis_speculations: isa_v2.map_or(0, |(m, _, _)| m),
-                        batched_hops: isa_v2.map_or(0, |(_, b, _)| b),
-                        coalesced_prefix_hops: isa_v2.map_or(0, |(_, _, c)| c),
-                        // Optional (untraced rungs omit it) but complete
-                        // when present: a traced rung missing any phase
-                        // key is rejected like any other pruned field.
-                        phase: match p.get("phase") {
-                            None => None,
-                            Some(obj) => {
-                                let count = obj.num("count")? as u64;
-                                let mut mean_us = [0.0; PHASES];
-                                let mut p99_us = [0.0; PHASES];
-                                for (i, ph) in Phase::ALL.into_iter().enumerate() {
-                                    mean_us[i] = obj.num(&format!("{}_mean_us", ph.key()))?;
-                                    p99_us[i] = obj.num(&format!("{}_p99_us", ph.key()))?;
-                                }
-                                Some(PhasePoint {
-                                    count,
-                                    mean_us,
-                                    p99_us,
-                                })
-                            }
-                        },
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()
-                .map_err(|e| format!("curve {label:?}: {e}"))?;
-            Ok(SweepReport { label, points })
-        })
-        .collect()
 }
 
 /// Runs a load ladder over one engine family: for every offered load in
@@ -1006,487 +762,55 @@ pub fn simspeed_json(report: &ParSweepReport) -> String {
         curves.join(",")
     )
 }
+// ------------------------------------------------------- engine factories
 
-/// A ready-made engine factory for [`sweep`]: the pulse rack over any
-/// [`AppKind`] deployment (`nodes` memory nodes, `cpus` compute nodes,
-/// requests round-robined across them), regenerating the identical
-/// deployment and request stream for every rung. `dispatch` configures the
-/// per-CPU-node dispatch-engine contention
-/// ([`DispatchConfig::default`] is uncontended).
-pub fn pulse_app_factory(
-    kind: AppKind,
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .granularity(DEFAULT_GRANULARITY)
-            .build_with(kind.build(nodes))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// [`pulse_app_factory`] for the WebService deployment with an uncontended
-/// dispatch engine (the PR 2 shape, kept for existing callers).
-pub fn pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    pulse_app_factory(
-        AppKind::WebService(YcsbWorkload::C),
-        nodes,
-        cpus,
-        requests,
-        DispatchConfig::default(),
-    )
-}
-
-/// Routed-fabric counterpart of [`pulse_webservice_factory`]: the
-/// identical Zipfian WebService deployment, but with the rack's packets —
-/// chained traversal hops, reissues, swap fills, responses — priced hop by
-/// hop on a routed `topology` instead of the flat single-switch model.
-/// Zipf-skewed keys concentrate traversals on the hot buckets' owning
-/// memory node, so the curve exposes the incast the paper's in-network
-/// routing argument is about; the matching RPC curve comes from
-/// [`baseline_app_factory`] with `RpcConfig::topology` set.
-pub fn fabric_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    topology: pulse::TopologySpec,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .topology(topology)
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Keys in the mixed-workload WiredTiger deployment (YCSB-E).
-const YCSB_TREE_KEYS: u64 = 30_000;
-/// Insert-arena slab per memory node for YCSB-E structural inserts.
-const YCSB_ARENA_PER_NODE: u64 = 4 << 20;
-
-/// The shared mixed-workload deployment configs (one definition, used by
-/// the pulse and baseline factories alike so the comparison stays
-/// apples-to-apples).
-fn ycsb_hash_cfg(workload: YcsbWorkload) -> WebServiceConfig {
-    sweep_webservice_cfg(workload, Distribution::Zipfian)
-}
-
-fn ycsb_tree_cfg(nodes: usize) -> WiredTigerConfig {
-    WiredTigerConfig {
-        keys: YCSB_TREE_KEYS,
-        placement: TreePlacement::Partitioned { nodes },
-        ..Default::default()
-    }
-}
-
-/// Mints the driver's request stream against `mem` and enforces that no
-/// insert degraded to the non-mutating fallback: an exhausted arena would
-/// keep the curve's update goodput nonzero while the write path silently
-/// stopped mutating the tree — abort loudly instead of trusting it.
-fn mint_ycsb_stream(
-    driver: &mut pulse::YcsbDriver,
-    mem: &mut pulse_mem::ClusterMemory,
-    requests: usize,
-) -> Vec<AppRequest> {
-    let reqs = (0..requests).map(|_| driver.next_request(mem)).collect();
-    assert_eq!(
-        driver.degraded_inserts(),
-        0,
-        "insert arena exhausted mid-stream: raise YCSB_ARENA_PER_NODE \
-         rather than sweeping a curve whose inserts stopped mutating"
-    );
-    reqs
-}
-
-/// One definition of the mixed-workload engine+driver wiring, shared by
-/// the pulse and baseline factories: the per-workload deployment configs,
-/// arena sizing, and `YcsbDriver` construction live here once, so the two
-/// sides cannot drift apart. The factories differ only in the two builder
-/// entry points they pass in.
-fn ycsb_engine_and_driver<E>(
-    workload: YcsbWorkload,
-    nodes: usize,
+/// The pulse rack `builder` configures, over the `app` deployment, with
+/// `requests` requests per rung — the engine factory for [`sweep`] and
+/// [`CurveSpec`]. Each call rebuilds the identical deployment and request
+/// stream, so every rung is a fresh closed world. The builder carries the
+/// whole rack: nodes, CPUs, dispatch, cache, topology, replication,
+/// faults, tracing and the ISA-v2 switches.
+///
+/// # Panics
+///
+/// The factory panics if the rack fails to wire, or if a YCSB-E stream
+/// exhausts its insert arena.
+pub fn rack_factory(
     builder: pulse::PulseBuilder,
-    wire_hash: impl FnOnce(pulse::PulseBuilder, WebServiceConfig) -> (E, WebService),
-    wire_tree: impl FnOnce(
-        pulse::PulseBuilder,
-        WiredTigerConfig,
-    ) -> (E, (WiredTiger, pulse_mutation::InsertArena)),
-) -> (E, pulse::YcsbDriver) {
-    match workload {
-        YcsbWorkload::A | YcsbWorkload::B => {
-            let cfg = ycsb_hash_cfg(workload);
-            let (engine, app) = wire_hash(builder, cfg);
-            let driver = pulse::YcsbDriver::webservice(app, cfg, pulse::MutationConfig::default())
-                .expect("partitioned deployment");
-            (engine, driver)
-        }
-        YcsbWorkload::E => {
-            let cfg = ycsb_tree_cfg(nodes);
-            let (engine, (app, arena)) = wire_tree(builder, cfg);
-            let driver =
-                pulse::YcsbDriver::wiredtiger(app, cfg, arena, pulse::MutationConfig::default())
-                    .expect("valid YCSB-E config");
-            (engine, driver)
-        }
-        YcsbWorkload::C => unreachable!("factories reject YCSB-C up front"),
-    }
-}
-
-/// [`pulse_app_factory`]'s mixed-workload counterpart: the pulse rack
-/// driven by a [`pulse::YcsbDriver`], so reads, seqlock-verified updates,
-/// scans and structural inserts all reach the rack as real submissions.
-/// YCSB-A/B run over the bucket-partitioned WebService hash map; YCSB-E
-/// over the WiredTiger B+Tree with an insert arena.
-///
-/// # Panics
-///
-/// Panics if `workload` is `YCSB-C` (use [`pulse_app_factory`] — C is the
-/// read-only curve), if the deployment fails to wire, or if the insert
-/// arena is exhausted mid-stream (see [`mint_ycsb_stream`]).
-pub fn pulse_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
-    cpus: usize,
+    app: AppKind,
     requests: usize,
-    dispatch: DispatchConfig,
-    cache: pulse::CacheConfig,
 ) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use pulse_app_factory"
-    );
     move || {
-        let builder = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .cache(cache)
-            .granularity(DEFAULT_GRANULARITY);
-        let (mut runtime, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.app(cfg).expect("wire pulse rack"),
-            |b, cfg| {
-                b.build_with(|ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire pulse rack")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, runtime.memory_mut(), requests);
+        let (mut runtime, stream) = builder
+            .clone()
+            .build_with(app.deploy())
+            .expect("wire pulse rack");
+        let reqs = stream.mint(runtime.memory_mut(), requests);
         (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
     }
 }
 
-/// Baseline counterpart of [`pulse_ycsb_factory`]: the identical
-/// deployment and driver wiring ([`ycsb_engine_and_driver`]) with the
-/// baseline builder entry points, so the pulse-vs-baseline comparison for
-/// read-write workloads stays apples-to-apples by construction.
+/// The `kind` baseline over the identical `app` deployment
+/// [`rack_factory`] builds, behind the same [`Engine`](pulse::Engine)
+/// trait. From `builder` a baseline takes the memory wiring (nodes,
+/// replication, granularity) and its client count (`window`); dispatch,
+/// cache, topology and faults ride in the baseline's own config.
 ///
 /// # Panics
 ///
-/// As [`pulse_ycsb_factory`].
-pub fn baseline_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
+/// As [`rack_factory`].
+pub fn baseline_factory(
+    builder: pulse::PulseBuilder,
     kind: pulse::BaselineKind,
-    concurrency: usize,
+    app: AppKind,
     requests: usize,
 ) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use baseline_app_factory"
-    );
     move || {
-        let builder = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY);
-        let (mut engine, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.baseline_app(kind.clone(), cfg).expect("wire baseline"),
-            |b, cfg| {
-                b.baseline_with(kind.clone(), |ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire baseline")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, engine.memory_mut(), requests);
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// The ISA-v2 latency-hiding switches a spec curve enables, bundled so a
-/// factory takes one argument and a new speculation/batching/coalescing
-/// combination is a one-line change at the call site.
-#[derive(Debug, Clone, Copy)]
-pub struct IsaV2 {
-    /// [`pulse::PulseBuilder::speculation`]: speculative next-hop issue at
-    /// the accelerators, validated against per-granule write versions.
-    pub speculate: bool,
-    /// [`pulse::PulseBuilder::batching`] window: same-node hops fused per
-    /// memory-bus transaction (1 = off).
-    pub batch_hops: u32,
-    /// [`pulse::PulseBuilder::coalescing`], when `Some`: identical-plan
-    /// requests ride one offloaded packet.
-    pub coalesce: Option<pulse::CoalesceConfig>,
-}
-
-impl IsaV2 {
-    /// All three mechanisms on: speculation, a `hops`-wide batch window,
-    /// and coalescing at its default rider cap.
-    pub fn all(hops: u32) -> IsaV2 {
-        IsaV2 {
-            speculate: true,
-            batch_hops: hops,
-            coalesce: Some(pulse::CoalesceConfig {
-                enabled: true,
-                ..Default::default()
-            }),
-        }
-    }
-
-    fn apply(self, b: pulse::PulseBuilder) -> pulse::PulseBuilder {
-        let b = b.speculation(self.speculate).batching(self.batch_hops);
-        match self.coalesce {
-            Some(c) => b.coalescing(c),
-            None => b,
-        }
-    }
-}
-
-/// ISA-v2 counterpart of [`pulse_app_factory`] over the read-heavy
-/// WebService deployment: the identical rack with the given latency-hiding
-/// switches on — the `pulse-spec` curve whose knee-vs-`pulse` shift is the
-/// ISA-v2 headline.
-pub fn spec_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    isa: IsaV2,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = isa
-            .apply(
-                pulse::PulseBuilder::new()
-                    .nodes(nodes)
-                    .cpus(cpus)
-                    .dispatch(dispatch)
-                    .granularity(DEFAULT_GRANULARITY),
-            )
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// ISA-v2 counterpart of [`pulse_ycsb_factory`]: the mixed read-write
-/// stream with the latency-hiding switches on, where concurrent updates
-/// invalidate speculated windows — the curve whose nonzero
-/// `mis_speculations` is the honest price of the speculation.
-///
-/// # Panics
-///
-/// As [`pulse_ycsb_factory`].
-pub fn spec_pulse_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    isa: IsaV2,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use spec_pulse_webservice_factory"
-    );
-    move || {
-        let builder = isa.apply(
-            pulse::PulseBuilder::new()
-                .nodes(nodes)
-                .cpus(cpus)
-                .dispatch(dispatch)
-                .granularity(DEFAULT_GRANULARITY),
-        );
-        let (mut runtime, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.app(cfg).expect("wire pulse rack"),
-            |b, cfg| {
-                b.build_with(|ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire pulse rack")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, runtime.memory_mut(), requests);
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// The cache-sensitivity counterpart of [`pulse_app_factory`]: the pulse
-/// rack over a WebService deployment with a per-CPU-node front-end cache
-/// and a caller-chosen key distribution — the (cache size × Zipf-θ) axes
-/// the "caches can't save pointer-traversals" curves sweep.
-pub fn cached_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    cache: pulse::CacheConfig,
-    dist: Distribution,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .cache(cache)
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, dist))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`cached_pulse_webservice_factory`] over the
-/// identical deployment at a caller-chosen distribution; the front-end
-/// cache rides inside the baseline's own config (`RpcConfig::cache`).
-pub fn cached_baseline_webservice_factory(
-    nodes: usize,
-    kind: pulse::BaselineKind,
-    concurrency: usize,
-    requests: usize,
-    dist: Distribution,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(kind.clone(), sweep_webservice_cfg(YcsbWorkload::C, dist))
+        let (mut engine, stream) = builder
+            .clone()
+            .baseline_with(kind.clone(), app.deploy())
             .expect("wire baseline");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`pulse_app_factory`], over the identical
-/// [`AppKind`] deployment, behind the same [`Engine`](pulse::Engine) trait.
-/// Dispatch contention rides in the baseline's own config
-/// (`RpcConfig::dispatch` / `SwapConfig::dispatch`).
-pub fn baseline_app_factory(
-    kind: AppKind,
-    nodes: usize,
-    baseline: pulse::BaselineKind,
-    concurrency: usize,
-    requests: usize,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_with(baseline.clone(), kind.build(nodes))
-            .expect("wire baseline");
-        let reqs = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// The SLO-under-failure counterpart of [`pulse_app_factory`]: the pulse
-/// rack over the canonical sweep WebService deployment, with every extent
-/// replicated `replication` ways and `faults` injected mid-run. Flat
-/// topology, no front-end cache — the crash curves differ from the
-/// healthy `pulse` curve in exactly one axis, so any goodput dip or
-/// degraded-window p99 on them is attributable to the failure story
-/// (failover re-plans plus background re-replication), not to topology or
-/// caching differences.
-pub fn crashed_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    replication: usize,
-    faults: Vec<FaultEvent>,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .replication(replication)
-            .faults(faults.clone())
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`crashed_pulse_webservice_factory`]: the RPC
-/// baseline over the identical deployment and replica rule, with the same
-/// fault schedule riding in `RpcConfig::faults` (the baseline's analytic
-/// fail-stop model — failover redirects plus one timeout round trip, no
-/// rebuild traffic).
-pub fn crashed_rpc_webservice_factory(
-    nodes: usize,
-    concurrency: usize,
-    requests: usize,
-    replication: usize,
-    faults: Vec<FaultEvent>,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let kind = pulse::BaselineKind::Rpc(RpcConfig {
-            faults: faults.clone(),
-            ..RpcConfig::rpc()
-        });
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .replication(replication)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(
-                kind,
-                sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian),
-            )
-            .expect("wire baseline");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
+        let reqs = stream.mint(engine.memory_mut(), requests);
         (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
     }
 }
@@ -1494,6 +818,9 @@ pub fn crashed_rpc_webservice_factory(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulse::baselines::RpcConfig;
+    use pulse::sim::SimTime;
+    use pulse::{BaselineKind, CacheConfig, FaultEvent, FaultKind, PulseBuilder};
 
     fn point(offered: f64, goodput: f64, p99_us: f64) -> SweepPoint {
         SweepPoint {
@@ -1506,19 +833,31 @@ mod tests {
             p99_us,
             goodput_kops: goodput,
             update_goodput_kops: 0.0,
-            retries: 0,
-            cache_hit_rate: 0.0,
-            link_utilization: 0.0,
-            queue_depth: 0,
-            failovers: 0,
-            unavailable_completions: 0,
-            rereplication_bytes: 0,
-            degraded_p99_us: 0.0,
+            counters: RunCounters::default(),
             phase: None,
-            mis_speculations: 0,
-            batched_hops: 0,
-            coalesced_prefix_hops: 0,
         }
+    }
+
+    /// A pulse rack of `nodes` memory and `cpus` CPU nodes.
+    fn rack(nodes: usize, cpus: usize) -> PulseBuilder {
+        PulseBuilder::new()
+            .nodes(nodes)
+            .cpus(cpus)
+            .granularity(DEFAULT_GRANULARITY)
+    }
+
+    /// Baseline wiring: `nodes` memory nodes, `clients` closed-loop clients.
+    fn clients(nodes: usize, clients: usize) -> PulseBuilder {
+        PulseBuilder::new()
+            .nodes(nodes)
+            .window(clients)
+            .granularity(DEFAULT_GRANULARITY)
+    }
+
+    /// One rung at `kops` of the curve `make` builds.
+    fn rung(make: impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>), kops: f64) -> SweepPoint {
+        let curve = sweep("probe", &[kops], 7, make).unwrap();
+        curve.points[0].clone()
     }
 
     /// Regression for the lying SLO headline: a post-saturation rung whose
@@ -1599,262 +938,186 @@ mod tests {
         assert_eq!(sustained, Some(684.5), "healthy rung must qualify");
     }
 
-    /// The mixed-workload factories execute a rung end-to-end: real
-    /// updates in the stream, nonzero update goodput, and the identical
-    /// shape from the baseline side.
+    /// The YCSB mixes execute a rung end-to-end through both factories:
+    /// real updates in the stream, nonzero update goodput, and the
+    /// identical shape from the baseline side.
     #[test]
     fn ycsb_factories_execute_a_rung() {
         for w in [YcsbWorkload::A, YcsbWorkload::B, YcsbWorkload::E] {
-            let mut make =
-                pulse_ycsb_factory(w, 2, 2, 60, DispatchConfig::default(), Default::default());
-            let curve = sweep("probe", &[100.0], 7, &mut make).unwrap();
-            let p = &curve.points[0];
+            let p = rung(rack_factory(rack(2, 2), AppKind::Ycsb(w), 60), 100.0);
             assert_eq!(p.completed + p.faulted, 60, "{w}");
             assert!(p.goodput_kops > 0.0, "{w}");
             if w == YcsbWorkload::A {
                 assert!(p.update_goodput_kops > 0.0, "A is half updates");
             }
         }
-        let mut make = baseline_ycsb_factory(
-            YcsbWorkload::A,
-            2,
-            pulse::BaselineKind::Rpc(RpcConfig::rpc()),
-            8,
-            60,
-        );
-        let curve = sweep("probe-rpc", &[100.0], 7, &mut make).unwrap();
-        let p = &curve.points[0];
+        let rpc = BaselineKind::Rpc(RpcConfig::rpc());
+        let ycsb_a = AppKind::Ycsb(YcsbWorkload::A);
+        let p = rung(baseline_factory(clients(2, 8), rpc, ycsb_a, 60), 100.0);
         assert_eq!(p.completed, 60);
         assert!(p.update_goodput_kops > 0.0);
-        assert_eq!(p.retries, 0, "sequential replay never races");
+        assert_eq!(p.counters.retries, 0, "sequential replay never races");
     }
 
-    /// Schema round trip: every `SweepPoint` field must survive
-    /// `sweep_json` → `parse_sweep_json` → `to_json` byte-for-byte, so a
-    /// new field (like `cache_hit_rate`) that is added to the struct but
-    /// forgotten in the emitter — or emitted but dropped by consumers —
-    /// fails here instead of silently breaking the CI label greps.
+    /// The emitter, byte for byte: every key, its order and its number
+    /// format, on a fully populated point (ISA-v2 trailer and phase object
+    /// present) and on a default one (both absent). CI's python gates and
+    /// `ci/check_trace.py` read these keys; the golden ladder pins the
+    /// default form.
     #[test]
-    fn sweep_json_round_trips_every_field() {
+    fn sweep_json_is_byte_exact() {
+        let full = SweepPoint {
+            offered_kops: 400.125,
+            arrived_kops: 398.5,
+            completed: 2_000,
+            faulted: 3,
+            p50_us: 12.5,
+            p95_us: 80.25,
+            p99_us: 141.875,
+            goodput_kops: 390.75,
+            update_goodput_kops: 97.5,
+            counters: RunCounters {
+                retries: 17,
+                cache_hit_rate: 0.7344,
+                link_utilization: 0.4125,
+                queue_depth: 9,
+                failovers: 11,
+                unavailable_completions: 2,
+                rereplication_bytes: 1 << 21,
+                degraded_p99: SimTime::from_nanos(310_125),
+                mis_speculations: 23,
+                batched_hops: 4_096,
+                coalesced_prefix_hops: 57,
+            },
+            phase: Some(PhasePoint {
+                count: 2_000,
+                mean_us: std::array::from_fn(|i| i as f64 * 1.5),
+                p99_us: std::array::from_fn(|i| i as f64 * 2.25),
+            }),
+        };
         let curve = SweepReport {
             label: "pulse+cache \"8-node\"".into(),
-            points: vec![
-                SweepPoint {
-                    offered_kops: 400.125,
-                    arrived_kops: 398.5,
-                    completed: 2_000,
-                    faulted: 3,
-                    p50_us: 12.5,
-                    p95_us: 80.25,
-                    p99_us: 141.875,
-                    goodput_kops: 390.75,
-                    update_goodput_kops: 97.5,
-                    retries: 17,
-                    cache_hit_rate: 0.7344,
-                    link_utilization: 0.4125,
-                    queue_depth: 9,
-                    failovers: 11,
-                    unavailable_completions: 2,
-                    rereplication_bytes: 1 << 21,
-                    degraded_p99_us: 310.125,
-                    phase: Some(PhasePoint {
-                        count: 2_000,
-                        mean_us: std::array::from_fn(|i| i as f64 * 1.5),
-                        p99_us: std::array::from_fn(|i| i as f64 * 2.25),
-                    }),
-                    mis_speculations: 23,
-                    batched_hops: 4_096,
-                    coalesced_prefix_hops: 57,
-                },
-                point(100.0, 99.0, 80.0),
-            ],
+            points: vec![full, point(100.0, 99.0, 80.0)],
         };
-        let empty = SweepReport {
-            label: "empty".into(),
-            points: Vec::new(),
-        };
-        let doc = sweep_json(&[curve, empty]);
-        let parsed = parse_sweep_json(&doc).expect("own emission parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "pulse+cache \"8-node\"");
-        assert_eq!(parsed[0].points.len(), 2);
-        let p = &parsed[0].points[0];
-        assert_eq!((p.completed, p.faulted, p.retries), (2_000, 3, 17));
-        assert!((p.cache_hit_rate - 0.7344).abs() < 1e-9);
-        assert!((p.link_utilization - 0.4125).abs() < 1e-9);
-        assert_eq!(p.queue_depth, 9);
-        assert_eq!((p.failovers, p.unavailable_completions), (11, 2));
-        assert_eq!(p.rereplication_bytes, 1 << 21);
-        assert!((p.degraded_p99_us - 310.125).abs() < 1e-9);
-        // Phase attribution: present on the traced point (field-exact),
-        // absent on the untraced one.
-        let phase = p.phase.as_ref().expect("traced point keeps phase");
-        assert_eq!(phase.count, 2_000);
-        assert_eq!(phase.mean_us[1], 1.5);
-        assert_eq!(phase.p99_us[2], 4.5);
-        assert_eq!(parsed[0].points[1].phase, None);
-        // ISA-v2 trailer: field-exact on the point that carries it, all
-        // zero on the point that omits it.
-        assert_eq!(
-            (p.mis_speculations, p.batched_hops, p.coalesced_prefix_hops),
-            (23, 4_096, 57)
+        let expected = concat!(
+            r#"{"sweep":[{"label":"pulse+cache \"8-node\"","points":["#,
+            r#"{"offered_kops":400.125,"arrived_kops":398.500,"#,
+            r#""completed":2000,"faulted":3,"#,
+            r#""p50_us":12.500,"p95_us":80.250,"p99_us":141.875,"#,
+            r#""goodput_kops":390.750,"update_goodput_kops":97.500,"#,
+            r#""retries":17,"cache_hit_rate":0.7344,"#,
+            r#""link_utilization":0.4125,"queue_depth":9,"#,
+            r#""failovers":11,"unavailable_completions":2,"#,
+            r#""rereplication_bytes":2097152,"degraded_p99_us":310.125,"#,
+            r#""mis_speculations":23,"batched_hops":4096,"coalesced_prefix_hops":57,"#,
+            r#""phase":{"count":2000,"#,
+            r#""queued_mean_us":0.0000,"queued_p99_us":0.0000,"#,
+            r#""dispatch_mean_us":1.5000,"dispatch_p99_us":2.2500,"#,
+            r#""wire_mean_us":3.0000,"wire_p99_us":4.5000,"#,
+            r#""accel_mean_us":4.5000,"accel_p99_us":6.7500,"#,
+            r#""mem_mean_us":6.0000,"mem_p99_us":9.0000,"#,
+            r#""cache_hit_mean_us":7.5000,"cache_hit_p99_us":11.2500,"#,
+            r#""retry_mean_us":9.0000,"retry_p99_us":13.5000,"#,
+            r#""failover_mean_us":10.5000,"failover_p99_us":15.7500,"#,
+            r#""rereplication_mean_us":12.0000,"rereplication_p99_us":18.0000,"#,
+            r#""spec_squash_mean_us":13.5000,"spec_squash_p99_us":20.2500}},"#,
+            r#"{"offered_kops":100.000,"arrived_kops":100.000,"#,
+            r#""completed":100,"faulted":0,"#,
+            r#""p50_us":40.000,"p95_us":72.000,"p99_us":80.000,"#,
+            r#""goodput_kops":99.000,"update_goodput_kops":0.000,"#,
+            r#""retries":0,"cache_hit_rate":0.0000,"#,
+            r#""link_utilization":0.0000,"queue_depth":0,"#,
+            r#""failovers":0,"unavailable_completions":0,"#,
+            r#""rereplication_bytes":0,"degraded_p99_us":0.000}]}]}"#,
         );
-        let plain = &parsed[0].points[1];
-        assert_eq!(
-            (
-                plain.mis_speculations,
-                plain.batched_hops,
-                plain.coalesced_prefix_hops
-            ),
-            (0, 0, 0)
-        );
-        // Byte-for-byte: re-serializing the parse reproduces the document.
-        assert_eq!(sweep_json(&parsed), doc);
-
-        // A document missing any point field is rejected, not defaulted:
-        // that is what makes the guard bite when the emitter regresses.
-        let pruned = doc.replace(",\"cache_hit_rate\":0.7344", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("cache_hit_rate"), "{err}");
-        let pruned = doc.replace(",\"link_utilization\":0.4125", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("link_utilization"), "{err}");
-        let pruned = doc.replace(",\"queue_depth\":9", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("queue_depth"), "{err}");
-        let pruned = doc.replace(",\"failovers\":11", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("failovers"), "{err}");
-        let pruned = doc.replace(",\"unavailable_completions\":2", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("unavailable_completions"), "{err}");
-        let pruned = doc.replace(",\"rereplication_bytes\":2097152", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("rereplication_bytes"), "{err}");
-        let pruned = doc.replace(",\"degraded_p99_us\":310.125", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("degraded_p99_us"), "{err}");
-        // A phase object, once present, must be complete: pruning one of
-        // its per-phase keys is rejected, not defaulted to zero.
-        let pruned = doc.replace(",\"wire_p99_us\":4.5000", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("wire_p99_us"), "{err}");
-        // Same for the ISA-v2 trailer: any key present makes all three
-        // required — a half-pruned trailer is a schema regression, not a
-        // zero.
-        let pruned = doc.replace(",\"mis_speculations\":23", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("mis_speculations"), "{err}");
-        let pruned = doc.replace(",\"batched_hops\":4096", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("batched_hops"), "{err}");
-        let pruned = doc.replace(",\"coalesced_prefix_hops\":57", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("coalesced_prefix_hops"), "{err}");
-        assert!(parse_sweep_json("{\"swoop\":[]}").is_err());
-        assert!(parse_sweep_json("not json").is_err());
-        // The real emitted file's shape, including escapes.
-        let parsed =
-            parse_sweep_json("{\"sweep\":[{\"label\":\"a\\\\b\\u0009\",\"points\":[]}]}").unwrap();
-        assert_eq!(parsed[0].label, "a\\b\t");
+        assert_eq!(sweep_json(&[curve]), expected);
     }
 
-    /// The cache-sensitivity factories execute a rung end-to-end: the
-    /// skewed pulse+cache rung reports a nonzero hit rate, the identical
+    /// The cache-sensitivity curves execute a rung end-to-end: the skewed
+    /// pulse+cache rung reports a nonzero hit rate, the identical
     /// cache-disabled rung reports exactly zero, and the RPC+cache side
     /// wires up through `RpcConfig::cache`.
     #[test]
     fn cached_factories_report_hit_rates() {
-        let cache = pulse::CacheConfig::sized(4 << 20);
-        let run = |cache, dist| {
-            let mut make =
-                cached_pulse_webservice_factory(2, 2, 120, DispatchConfig::default(), cache, dist);
-            let curve = sweep("probe", &[100.0], 7, &mut make).unwrap();
-            curve.points[0].clone()
-        };
-        let skewed = run(cache, Distribution::Zipfian);
-        assert_eq!(skewed.completed, 120);
+        let cache = CacheConfig::sized(4 << 20);
+        let skewed = AppKind::WebService(Distribution::Zipfian);
+        let run = |cache| rung(rack_factory(rack(2, 2).cache(cache), skewed, 120), 100.0);
+        let hit = run(cache);
+        assert_eq!(hit.completed, 120);
         assert!(
-            skewed.cache_hit_rate > 0.0,
-            "skewed reads must hit: {skewed:?}"
+            hit.counters.cache_hit_rate > 0.0,
+            "skewed reads must hit: {hit:?}"
         );
-        let disabled = run(pulse::CacheConfig::disabled(), Distribution::Zipfian);
-        assert_eq!(disabled.cache_hit_rate, 0.0, "disabled is exactly zero");
+        let disabled = run(CacheConfig::disabled());
+        assert_eq!(
+            disabled.counters.cache_hit_rate, 0.0,
+            "disabled is exactly zero"
+        );
 
-        let mut make = cached_baseline_webservice_factory(
-            2,
-            pulse::BaselineKind::Rpc(RpcConfig {
-                cache,
-                ..RpcConfig::rpc()
-            }),
-            8,
-            120,
-            Distribution::Zipfian,
-        );
-        let curve = sweep("probe-rpc", &[100.0], 7, &mut make).unwrap();
+        let rpc = BaselineKind::Rpc(RpcConfig {
+            cache,
+            ..RpcConfig::rpc()
+        });
+        let p = rung(baseline_factory(clients(2, 8), rpc, skewed, 120), 100.0);
         assert!(
-            curve.points[0].cache_hit_rate > 0.0,
-            "RPC front-end cache must hit on skewed reads: {:?}",
-            curve.points[0]
+            p.counters.cache_hit_rate > 0.0,
+            "RPC front-end cache must hit on skewed reads: {p:?}"
         );
     }
 
-    /// One rung of each crash factory tells the SLO-under-failure story:
+    /// One rung of each crash curve tells the SLO-under-failure story:
     /// replicated pulse rides out the crash (zero unavailable, nonzero
     /// failovers and rebuild traffic), unreplicated pulse loses requests,
     /// and the replicated RPC baseline fails over without ever rebuilding.
     #[test]
     fn crash_factories_tell_the_slo_story() {
-        use pulse_mem::FaultKind;
         let faults = vec![FaultEvent::new(
-            pulse_sim::SimTime::from_micros(30),
+            SimTime::from_micros(30),
             FaultKind::MemCrash(0),
         )];
-        let rung = |replication| {
-            let mut make = crashed_pulse_webservice_factory(
-                4,
-                2,
-                120,
-                DispatchConfig::default(),
-                replication,
-                faults.clone(),
-            );
-            let curve = sweep("probe-crash", &[300.0], 7, &mut make).unwrap();
-            curve.points[0].clone()
+        let webservice = AppKind::WebService(Distribution::Zipfian);
+        let pulse = |replication| {
+            let builder = rack(4, 2).replication(replication).faults(faults.clone());
+            rung(rack_factory(builder, webservice, 120), 300.0).counters
         };
-        let replicated = rung(2);
+        let replicated = pulse(2);
         assert_eq!(replicated.unavailable_completions, 0, "{replicated:?}");
         assert!(replicated.failovers > 0, "{replicated:?}");
         assert!(replicated.rereplication_bytes > 0, "{replicated:?}");
-        assert!(replicated.degraded_p99_us > 0.0, "{replicated:?}");
-        let bare = rung(1);
+        assert!(replicated.degraded_p99 > SimTime::ZERO, "{replicated:?}");
+        let bare = pulse(1);
         assert!(bare.unavailable_completions > 0, "{bare:?}");
         assert_eq!(bare.rereplication_bytes, 0, "{bare:?}");
 
-        let mut make = crashed_rpc_webservice_factory(4, 8, 120, 2, faults);
-        let curve = sweep("probe-rpc-crash", &[300.0], 7, &mut make).unwrap();
-        let rpc = &curve.points[0];
+        let rpc = BaselineKind::Rpc(RpcConfig {
+            faults,
+            ..RpcConfig::rpc()
+        });
+        let builder = clients(4, 8).replication(2);
+        let rpc = rung(baseline_factory(builder, rpc, webservice, 120), 300.0).counters;
         assert_eq!(rpc.unavailable_completions, 0, "{rpc:?}");
         assert!(rpc.failovers > 0, "{rpc:?}");
         assert_eq!(rpc.rereplication_bytes, 0, "RPC never rebuilds: {rpc:?}");
     }
 
-    /// The new ladder factories build and execute a rung end-to-end for
-    /// every application family (tiny sizes; this is a wiring test, the
-    /// real ladders run in `examples/latency_sweep.rs`).
+    /// Both factories build and execute a rung end-to-end for every
+    /// application family (tiny sizes; this is a wiring test, the real
+    /// ladders run in `examples/latency_sweep.rs`).
     #[test]
     fn app_factories_execute_a_rung() {
         for kind in [
-            AppKind::WebService(YcsbWorkload::C),
+            AppKind::WebService(Distribution::Zipfian),
             AppKind::WiredTiger,
             AppKind::Btrdb(4),
         ] {
-            let mut make = pulse_app_factory(kind, 2, 2, 10, DispatchConfig::default());
-            let curve = sweep("probe", &[50.0], 7, &mut make).unwrap();
-            assert_eq!(curve.points.len(), 1, "{kind:?}");
-            let p = &curve.points[0];
-            assert_eq!(p.completed + p.faulted, 10, "{kind:?}");
-            assert!(p.goodput_kops > 0.0, "{kind:?}");
+            let rpc = BaselineKind::Rpc(RpcConfig::rpc());
+            for p in [
+                rung(rack_factory(rack(2, 2), kind, 10), 50.0),
+                rung(baseline_factory(clients(2, 4), rpc, kind, 10), 50.0),
+            ] {
+                assert_eq!(p.completed + p.faulted, 10, "{kind:?}");
+                assert!(p.goodput_kops > 0.0, "{kind:?}");
+            }
         }
     }
 }

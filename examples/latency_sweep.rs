@@ -55,6 +55,15 @@
 //!   nonzero. These two land in `BENCH_spec_sweep.json`, keeping the
 //!   default `BENCH_sweep.json` byte-identical to the pinned golden.
 //!
+//! Each curve is one table row built by one of two factories:
+//! `pulse_bench::rack_factory(builder, app, requests)` for the pulse rack
+//! and `pulse_bench::baseline_factory(builder, kind, app, requests)` for
+//! the RPC and swap baselines. The `PulseBuilder` carries the curve's
+//! axes (memory nodes, cache, topology, replication, faults, the ISA-v2
+//! switches; a baseline's client count is its `window`) and `AppKind`
+//! names the deployment, so a curve differs from its neighbours in
+//! exactly the builder calls it adds.
+//!
 //! Every engine runs the same contended dispatch model: each CPU node's
 //! issue path is a serial engine (`DISPATCH_OCCUPANCY` per packet on
 //! `DISPATCH_CONTEXTS` contexts), so CPU-side queueing — the effect the
@@ -92,18 +101,14 @@
 
 use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::sim::SimTime;
-use pulse::workloads::{Application, Distribution};
+use pulse::workloads::Distribution;
 use pulse::{
-    BaselineKind, CacheConfig, DispatchConfig, Engine, FaultEvent, FaultKind, Phase, TopologySpec,
-    TraceConfig, WebServiceConfig, YcsbWorkload,
+    BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent, FaultKind,
+    Phase, PulseBuilder, RunCounters, TopologySpec, TraceConfig, YcsbWorkload,
 };
 use pulse_bench::{
-    baseline_app_factory, baseline_ycsb_factory, cached_baseline_webservice_factory,
-    cached_pulse_webservice_factory, crashed_pulse_webservice_factory,
-    crashed_rpc_webservice_factory, fabric_pulse_webservice_factory, pulse_app_factory,
-    pulse_ycsb_factory, simspeed_json, spec_pulse_webservice_factory, spec_pulse_ycsb_factory,
-    sweep, sweep_json, sweep_par_with, AppKind, CurveFactory, CurveSpec, IsaV2, SweepPoint,
-    SweepReport, DEFAULT_GRANULARITY,
+    baseline_factory, rack_factory, simspeed_json, sweep, sweep_json, sweep_par_with, AppKind,
+    CurveFactory, CurveSpec, SweepPoint, SweepReport, DEFAULT_GRANULARITY,
 };
 
 const NODES: usize = 2;
@@ -176,98 +181,88 @@ fn main() -> Result<(), pulse::Error> {
     // `sweep_par_with` stitches results back in exactly this order, and
     // the `SPEC_LABELS` curves must stay last (the split below peels them
     // off the tail into their own JSON document).
-    let webservice = AppKind::WebService(YcsbWorkload::C);
+    //
+    // Every pulse curve starts from `rack` and every baseline curve from
+    // `clients`; each variant below adds one axis to that wiring.
+    let rack = |nodes| {
+        PulseBuilder::new()
+            .nodes(nodes)
+            .cpus(CPUS)
+            .dispatch(dispatch)
+            .granularity(DEFAULT_GRANULARITY)
+    };
+    let clients = |nodes| {
+        PulseBuilder::new()
+            .nodes(nodes)
+            .window(BASELINE_CLIENTS)
+            .granularity(DEFAULT_GRANULARITY)
+    };
+    let rpc = BaselineKind::Rpc(rpc_cfg(dispatch));
+    let webservice = AppKind::WebService(Distribution::Zipfian);
+    let ycsb_a = AppKind::Ycsb(YcsbWorkload::A);
+    let cached = || rack(NODES).cache(CacheConfig::sized(CACHE_BYTES));
+    let spec = || rack(NODES).speculation(true).batching(SPEC_BATCH_HOPS);
     let table: Vec<(&str, CurveFactory)> = vec![
         (
             "pulse",
-            Box::new(pulse_app_factory(
-                webservice, NODES, CPUS, requests, dispatch,
-            )),
+            Box::new(rack_factory(rack(NODES), webservice, requests)),
         ),
         (
             "RPC",
-            Box::new(baseline_app_factory(
+            Box::new(baseline_factory(
+                clients(NODES),
+                rpc.clone(),
                 webservice,
-                NODES,
-                BaselineKind::Rpc(rpc_cfg(dispatch)),
-                BASELINE_CLIENTS,
                 requests,
             )),
         ),
         (
             "Cache-based",
-            Box::new(baseline_app_factory(
-                webservice,
-                NODES,
+            Box::new(baseline_factory(
+                clients(NODES),
                 BaselineKind::SwapCache(SwapConfig {
                     cache_bytes: 8 << 20,
                     dispatch,
                     ..SwapConfig::default()
                 }),
-                BASELINE_CLIENTS,
+                webservice,
                 requests,
             )),
         ),
         (
             "pulse-wiredtiger",
-            Box::new(pulse_app_factory(
-                AppKind::WiredTiger,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-            )),
+            Box::new(rack_factory(rack(NODES), AppKind::WiredTiger, requests)),
         ),
         (
             "pulse-btrdb",
-            Box::new(pulse_app_factory(
-                AppKind::Btrdb(4),
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-            )),
+            Box::new(rack_factory(rack(NODES), AppKind::Btrdb(4), requests)),
         ),
         (
             "pulse-ycsb-a",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::disabled(),
-            )),
+            Box::new(rack_factory(rack(NODES), ycsb_a, requests)),
         ),
         (
             "pulse-ycsb-b",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::B,
-                NODES,
-                CPUS,
+            Box::new(rack_factory(
+                rack(NODES),
+                AppKind::Ycsb(YcsbWorkload::B),
                 requests,
-                dispatch,
-                CacheConfig::disabled(),
             )),
         ),
         (
             "pulse-ycsb-e",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::E,
-                NODES,
-                CPUS,
+            Box::new(rack_factory(
+                rack(NODES),
+                AppKind::Ycsb(YcsbWorkload::E),
                 requests,
-                dispatch,
-                CacheConfig::disabled(),
             )),
         ),
         (
             "RPC-ycsb-a",
-            Box::new(baseline_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                BaselineKind::Rpc(rpc_cfg(dispatch)),
-                BASELINE_CLIENTS,
+            Box::new(baseline_factory(
+                clients(NODES),
+                rpc.clone(),
+                ycsb_a,
                 requests,
             )),
         ),
@@ -277,98 +272,78 @@ fn main() -> Result<(), pulse::Error> {
         // cache — where invalidation-on-update collapses the benefit.
         (
             "pulse+cache",
-            Box::new(cached_pulse_webservice_factory(
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::sized(CACHE_BYTES),
-                Distribution::Zipfian,
-            )),
+            Box::new(rack_factory(cached(), webservice, requests)),
         ),
         (
             "RPC+cache",
-            Box::new(cached_baseline_webservice_factory(
-                NODES,
+            Box::new(baseline_factory(
+                clients(NODES),
                 BaselineKind::Rpc(RpcConfig {
                     cache: CacheConfig::sized(CACHE_BYTES),
                     ..rpc_cfg(dispatch)
                 }),
-                BASELINE_CLIENTS,
+                webservice,
                 requests,
-                Distribution::Zipfian,
             )),
         ),
         (
             "pulse-ycsb-a+cache",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::sized(CACHE_BYTES),
-            )),
+            Box::new(rack_factory(cached(), ycsb_a, requests)),
         ),
         // The multi-rack incast comparison: identical Zipf-skewed
         // WebService deployments on a routed 2-leaf/2-spine fabric.
         (
             "pulse-leafspine-hot",
-            Box::new(fabric_pulse_webservice_factory(
-                FABRIC_NODES,
-                CPUS,
+            Box::new(rack_factory(
+                rack(FABRIC_NODES).topology(FABRIC_TOPOLOGY),
+                webservice,
                 requests,
-                dispatch,
-                FABRIC_TOPOLOGY,
             )),
         ),
         (
             "RPC-leafspine-hot",
-            Box::new(baseline_app_factory(
-                webservice,
-                FABRIC_NODES,
+            Box::new(baseline_factory(
+                clients(FABRIC_NODES),
                 BaselineKind::Rpc(RpcConfig {
                     topology: FABRIC_TOPOLOGY,
                     ..rpc_cfg(dispatch)
                 }),
-                BASELINE_CLIENTS,
+                webservice,
                 requests,
             )),
         ),
         // The SLO-under-failure comparison: identical flat deployments,
         // node 0 fail-stops 30 us into every rung. One axis varies per
         // curve: replication off, replication on, and the RPC baseline
-        // with the same replica rule.
+        // with the same replica rule (its analytic fail-stop model:
+        // failover redirects plus one timeout round trip, no rebuild
+        // traffic).
         (
             "pulse-crash",
-            Box::new(crashed_pulse_webservice_factory(
-                CRASH_NODES,
-                CPUS,
+            Box::new(rack_factory(
+                rack(CRASH_NODES).faults(crash_schedule()),
+                webservice,
                 requests,
-                dispatch,
-                1,
-                crash_schedule(),
             )),
         ),
         (
             "pulse-crash-replicated",
-            Box::new(crashed_pulse_webservice_factory(
-                CRASH_NODES,
-                CPUS,
+            Box::new(rack_factory(
+                rack(CRASH_NODES).replication(2).faults(crash_schedule()),
+                webservice,
                 requests,
-                dispatch,
-                2,
-                crash_schedule(),
             )),
         ),
         (
             "RPC-crash",
-            Box::new(crashed_rpc_webservice_factory(
-                CRASH_NODES,
-                BASELINE_CLIENTS,
+            Box::new(baseline_factory(
+                clients(CRASH_NODES).replication(2),
+                BaselineKind::Rpc(RpcConfig {
+                    faults: crash_schedule(),
+                    ..RpcConfig::rpc()
+                }),
+                webservice,
                 requests,
-                2,
-                crash_schedule(),
             )),
         ),
         // The ISA-v2 curves (`SPEC_LABELS`): the identical read-heavy
@@ -378,28 +353,18 @@ fn main() -> Result<(), pulse::Error> {
         // mis-speculation tax is visible instead of assumed away.
         (
             SPEC_LABELS[0],
-            Box::new(spec_pulse_webservice_factory(
-                NODES,
-                CPUS,
+            Box::new(rack_factory(
+                spec().coalescing(CoalesceConfig {
+                    enabled: true,
+                    ..Default::default()
+                }),
+                webservice,
                 requests,
-                dispatch,
-                IsaV2::all(SPEC_BATCH_HOPS),
             )),
         ),
         (
             SPEC_LABELS[1],
-            Box::new(spec_pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                IsaV2 {
-                    speculate: true,
-                    batch_hops: SPEC_BATCH_HOPS,
-                    coalesce: None,
-                },
-            )),
+            Box::new(rack_factory(spec(), ycsb_a, requests)),
         ),
     ];
     let specs: Vec<CurveSpec> = table
@@ -469,7 +434,7 @@ fn main() -> Result<(), pulse::Error> {
         .iter()
         .find(|c| c.label == "pulse-ycsb-a")
         .expect("present");
-    let total_retries: u64 = ycsb_a.points.iter().map(|p| p.retries).sum();
+    let total_retries = total(ycsb_a, |c| c.retries);
     println!(
         "pulse-ycsb-a: {} seqlock retries across the ladder",
         total_retries
@@ -491,13 +456,16 @@ fn main() -> Result<(), pulse::Error> {
             .unwrap_or_else(|| panic!("{label} curve present"));
         c.points
             .iter()
-            .map(|p| p.cache_hit_rate)
+            .map(|p| p.counters.cache_hit_rate)
             .fold(f64::NAN, f64::max)
     };
     for curve in curves.iter().chain(&spec_curves) {
         if !curve.label.contains("+cache") {
             assert!(
-                curve.points.iter().all(|p| p.cache_hit_rate == 0.0),
+                curve
+                    .points
+                    .iter()
+                    .all(|p| p.counters.cache_hit_rate == 0.0),
                 "{}: cache-disabled curves must report exactly 0.0",
                 curve.label
             );
@@ -510,9 +478,9 @@ fn main() -> Result<(), pulse::Error> {
     // the golden-trace path.
     for curve in &curves {
         assert!(
-            curve.points.iter().all(|p| p.mis_speculations == 0
-                && p.batched_hops == 0
-                && p.coalesced_prefix_hops == 0),
+            curve.points.iter().all(|p| p.counters.mis_speculations == 0
+                && p.counters.batched_hops == 0
+                && p.counters.coalesced_prefix_hops == 0),
             "{}: spec-off curves must carry zero ISA-v2 metrics",
             curve.label
         );
@@ -542,16 +510,13 @@ fn main() -> Result<(), pulse::Error> {
     for &milli in &thetas {
         let mut row = Vec::new();
         for &bytes in &sizes {
-            let mut make = cached_pulse_webservice_factory(
-                NODES,
-                CPUS,
+            let make = rack_factory(
+                rack(NODES).cache(CacheConfig::sized(bytes)),
+                AppKind::WebService(Distribution::ZipfianTheta { milli }),
                 requests.min(500),
-                dispatch,
-                CacheConfig::sized(bytes),
-                Distribution::ZipfianTheta { milli },
             );
-            let cell = sweep("grid", &[loads_kops[0]], SEED, &mut make)?;
-            row.push(cell.points[0].cache_hit_rate);
+            let cell = sweep("grid", &[loads_kops[0]], SEED, make)?;
+            row.push(cell.points[0].counters.cache_hit_rate);
         }
         grid.push(row);
     }
@@ -606,15 +571,13 @@ fn main() -> Result<(), pulse::Error> {
         fmt_kops(pulse_sustained),
         fmt_kops(spec_sustained),
     );
-    let count =
-        |c: &SweepReport, f: fn(&SweepPoint) -> u64| -> u64 { c.points.iter().map(f).sum() };
     for c in [spec, spec_ycsb] {
         println!(
             "  {:>18}: {} batched hops, {} coalesced prefix hops, {} mis-speculations",
             c.label,
-            count(c, |p| p.batched_hops),
-            count(c, |p| p.coalesced_prefix_hops),
-            count(c, |p| p.mis_speculations),
+            total(c, |c| c.batched_hops),
+            total(c, |c| c.coalesced_prefix_hops),
+            total(c, |c| c.mis_speculations),
         );
     }
     let (p, s) = (
@@ -626,15 +589,15 @@ fn main() -> Result<(), pulse::Error> {
         "ISA v2 must move the read-heavy knee: pulse-spec {s} vs pulse {p} kops"
     );
     assert!(
-        count(spec, |p| p.batched_hops) > 0,
+        total(spec, |c| c.batched_hops) > 0,
         "same-node hop batching must fuse some hops on the read-heavy curve"
     );
     assert!(
-        count(spec, |p| p.coalesced_prefix_hops) > 0,
+        total(spec, |c| c.coalesced_prefix_hops) > 0,
         "zipfian duplicates under load must coalesce some prefix hops"
     );
     assert!(
-        count(spec_ycsb, |p| p.mis_speculations) > 0,
+        total(spec_ycsb, |c| c.mis_speculations) > 0,
         "the 50%-update mix must invalidate some speculated windows"
     );
     // Where caching *does* help: on the skewed read-only workload, the
@@ -673,7 +636,7 @@ fn main() -> Result<(), pulse::Error> {
                 curve
                     .points
                     .iter()
-                    .all(|p| p.link_utilization == 0.0 && p.queue_depth == 0),
+                    .all(|p| p.counters.link_utilization == 0.0 && p.counters.queue_depth == 0),
                 "{}: flat curves must report zero fabric metrics",
                 curve.label
             );
@@ -690,7 +653,7 @@ fn main() -> Result<(), pulse::Error> {
     let peak_util = |c: &SweepReport| {
         c.points
             .iter()
-            .map(|p| p.link_utilization)
+            .map(|p| p.counters.link_utilization)
             .fold(0.0, f64::max)
     };
     let (pulse_util, rpc_util) = (peak_util(pulse_fab), peak_util(rpc_fab));
@@ -709,13 +672,15 @@ fn main() -> Result<(), pulse::Error> {
     // strictly above it on at least one pre-saturation rung.
     let mut strictly_above = false;
     for (p, r) in pulse_fab.points.iter().zip(&rpc_fab.points) {
+        let offered = p.offered_kops;
+        let (p, r) = (&p.counters, &r.counters);
         assert!(
             r.link_utilization >= p.link_utilization,
             "RPC's CPU bounce must congest the downlink at least as hard as \
              pulse's chained hops on every rung ({:.3} vs {:.3} at {} kops)",
             r.link_utilization,
             p.link_utilization,
-            p.offered_kops
+            offered
         );
         strictly_above |= r.link_utilization > p.link_utilization;
     }
@@ -748,10 +713,10 @@ fn main() -> Result<(), pulse::Error> {
     for curve in curves.iter().chain(&spec_curves) {
         if !curve.label.contains("crash") {
             assert!(
-                curve.points.iter().all(|p| p.failovers == 0
-                    && p.unavailable_completions == 0
-                    && p.rereplication_bytes == 0
-                    && p.degraded_p99_us == 0.0),
+                curve.points.iter().all(|p| p.counters.failovers == 0
+                    && p.counters.unavailable_completions == 0
+                    && p.counters.rereplication_bytes == 0
+                    && p.counters.degraded_p99 == SimTime::ZERO),
                 "{}: fault-free curves must carry zero failure metrics",
                 curve.label
             );
@@ -766,9 +731,6 @@ fn main() -> Result<(), pulse::Error> {
     let bare = crash_curve("pulse-crash");
     let repl = crash_curve("pulse-crash-replicated");
     let rpc_crash = crash_curve("RPC-crash");
-    let sum = |c: &SweepReport, f: fn(&pulse_bench::SweepPoint) -> u64| -> u64 {
-        c.points.iter().map(f).sum()
-    };
     println!(
         "\ncrash at {} us, node 0 of {CRASH_NODES} (per-ladder totals):",
         CRASH_AT.as_micros_f64()
@@ -778,42 +740,48 @@ fn main() -> Result<(), pulse::Error> {
             "  {:>24}: {:>5} unavailable, {:>6} failovers, {:>9} rebuild bytes, \
              degraded p99 {:.1} us",
             c.label,
-            sum(c, |p| p.unavailable_completions),
-            sum(c, |p| p.failovers),
-            sum(c, |p| p.rereplication_bytes),
+            total(c, |c| c.unavailable_completions),
+            total(c, |c| c.failovers),
+            total(c, |c| c.rereplication_bytes),
             c.points
                 .iter()
-                .map(|p| p.degraded_p99_us)
-                .fold(0.0, f64::max)
+                .map(|p| p.counters.degraded_p99)
+                .max()
+                .unwrap_or_default()
+                .as_micros_f64()
         );
     }
     // Unreplicated: the crash takes data offline, so some requests can
     // only fault-complete as unavailable — and nothing can be rebuilt.
     assert!(
-        sum(bare, |p| p.unavailable_completions) > 0,
+        total(bare, |c| c.unavailable_completions) > 0,
         "losing the only copy must surface unavailable completions"
     );
     assert_eq!(
-        sum(bare, |p| p.rereplication_bytes),
+        total(bare, |c| c.rereplication_bytes),
         0,
         "nothing to rebuild from at replication 1"
     );
     // Replicated: every rung finishes every request — zero unavailable —
     // by re-planning onto survivors and paying real rebuild traffic.
     assert!(
-        repl.points.iter().all(|p| p.unavailable_completions == 0),
+        repl.points
+            .iter()
+            .all(|p| p.counters.unavailable_completions == 0),
         "two-way replication must ride out a single-node crash"
     );
     assert!(
-        sum(repl, |p| p.failovers) > 0,
+        total(repl, |c| c.failovers) > 0,
         "riding out the crash requires actual failovers"
     );
     assert!(
-        sum(repl, |p| p.rereplication_bytes) > 0,
+        total(repl, |c| c.rereplication_bytes) > 0,
         "rebuilding lost redundancy must move real bytes"
     );
     assert!(
-        repl.points.iter().any(|p| p.degraded_p99_us > 0.0),
+        repl.points
+            .iter()
+            .any(|p| p.counters.degraded_p99 > SimTime::ZERO),
         "the degraded window must cover some completions"
     );
     // The replicated RPC baseline also stays available, but never
@@ -822,15 +790,15 @@ fn main() -> Result<(), pulse::Error> {
         rpc_crash
             .points
             .iter()
-            .all(|p| p.unavailable_completions == 0),
+            .all(|p| p.counters.unavailable_completions == 0),
         "replicated RPC must ride out the crash too"
     );
     assert!(
-        sum(rpc_crash, |p| p.failovers) > 0,
+        total(rpc_crash, |c| c.failovers) > 0,
         "RPC failover must actually trigger"
     );
     assert_eq!(
-        sum(rpc_crash, |p| p.rereplication_bytes),
+        total(rpc_crash, |c| c.rereplication_bytes),
         0,
         "the RPC baseline has no re-replication engine"
     );
@@ -872,19 +840,14 @@ fn main() -> Result<(), pulse::Error> {
 /// `BENCH_traced_sweep.json`, then prints the per-phase breakdown.
 fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pulse::Error> {
     let dispatch = DispatchConfig::contended(DISPATCH_OCCUPANCY, DISPATCH_CONTEXTS);
-    let (mut runtime, mut app) = pulse::PulseBuilder::new()
+    let (mut runtime, mut app) = PulseBuilder::new()
         .nodes(FABRIC_NODES)
         .cpus(CPUS)
         .dispatch(dispatch)
         .topology(FABRIC_TOPOLOGY)
         .trace(Some(TraceConfig::default()))
         .granularity(DEFAULT_GRANULARITY)
-        .app(WebServiceConfig {
-            keys: 6_000,
-            workload: YcsbWorkload::C,
-            distribution: Distribution::Zipfian,
-            ..Default::default()
-        })?;
+        .build_with(AppKind::WebService(Distribution::Zipfian).build())?;
     let reqs: Vec<_> = (0..requests).map(|_| app.next_request()).collect();
     let arrivals = pulse::ArrivalProcess::poisson(load_kops * 1e3, SEED);
     let rep = runtime.execute_open_loop(&reqs, arrivals)?;
@@ -934,6 +897,11 @@ fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pu
     Ok(())
 }
 
+/// A counter summed over a curve's rungs.
+fn total(curve: &SweepReport, counter: fn(&RunCounters) -> u64) -> u64 {
+    curve.points.iter().map(|p| counter(&p.counters)).sum()
+}
+
 /// Renders an optional sustained-load headline for stdout tables; `-`
 /// when no rung qualified at the SLO.
 fn fmt_kops(v: Option<f64>) -> String {
@@ -956,8 +924,8 @@ fn print_curve(curve: &SweepReport) {
             p.p99_us,
             p.goodput_kops,
             p.update_goodput_kops,
-            p.retries,
-            p.cache_hit_rate
+            p.counters.retries,
+            p.counters.cache_hit_rate
         );
     }
     println!();

@@ -11,7 +11,7 @@
 //!   system, so cluster-vs-baseline comparisons are a one-line swap.
 
 use crate::error::Error;
-use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
+use crate::runtime::{OpenLoopDriver, OpenLoopReport, RunCounters, Runtime};
 use pulse_baselines::{
     run_rpc, run_rpc_open_loop, run_swap_cache, run_swap_cache_open_loop, BaselineReport,
     RpcConfig, SwapConfig,
@@ -377,18 +377,8 @@ impl Engine for BaselineEngine {
                 last_arrival: first_arrival,
                 last_completion: first_arrival,
                 completed_updates: 0,
-                retries: 0,
-                cache_hit_rate: 0.0,
-                link_utilization: 0.0,
-                queue_depth: 0,
-                failovers: 0,
-                unavailable_completions: 0,
-                rereplication_bytes: 0,
-                degraded_p99: SimTime::ZERO,
+                counters: RunCounters::default(),
                 phase: None,
-                mis_speculations: 0,
-                batched_hops: 0,
-                coalesced_prefix_hops: 0,
             });
         }
         let rep = match self.kind.clone() {
@@ -417,21 +407,19 @@ impl Engine for BaselineEngine {
             // The replay baselines complete every request and execute
             // sequentially: updates all land, races never happen.
             completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64,
-            retries: 0,
-            cache_hit_rate: rep.cache_hit_rate,
-            link_utilization: rep.link_utilization,
-            queue_depth: rep.queue_depth,
-            failovers: rep.failovers,
-            unavailable_completions: rep.unavailable_completions,
-            // The RPC model never rebuilds lost extents.
-            rereplication_bytes: 0,
-            degraded_p99: rep.degraded_p99,
+            // The replay baselines execute sequentially (no races), never
+            // rebuild lost extents, and have no accelerators, so retries,
+            // re-replication and the ISA-v2 counters stay zero.
+            counters: RunCounters {
+                cache_hit_rate: rep.cache_hit_rate,
+                link_utilization: rep.link_utilization,
+                queue_depth: rep.queue_depth,
+                failovers: rep.failovers,
+                unavailable_completions: rep.unavailable_completions,
+                degraded_p99: rep.degraded_p99,
+                ..RunCounters::default()
+            },
             phase: rep.phase,
-            // No accelerators, no offloads: the ISA-v2 latency-hiding
-            // machinery does not exist in the replay baselines.
-            mis_speculations: 0,
-            batched_hops: 0,
-            coalesced_prefix_hops: 0,
         })
     }
 }

@@ -94,8 +94,8 @@ mod ycsb;
 pub use api::{AppSpec, BaselineEngine, BaselineKind, Engine, EngineReport, Offloaded};
 pub use error::Error;
 pub use runtime::{
-    OpenLoopDriver, OpenLoopReport, PulseBuilder, Runtime, Ticket, DEFAULT_GRANULARITY,
-    DEFAULT_WINDOW,
+    OpenLoopDriver, OpenLoopReport, PulseBuilder, RunCounters, Runtime, Ticket,
+    DEFAULT_GRANULARITY, DEFAULT_WINDOW,
 };
 pub use ycsb::YcsbDriver;
 

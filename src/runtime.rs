@@ -602,14 +602,30 @@ pub struct OpenLoopReport {
     /// ([`AppRequest::is_update`]) — the write half of a mixed workload's
     /// goodput. 0 for read-only streams.
     pub completed_updates: u64,
+    /// The run's counters: retries, cache, fabric, failure and ISA-v2.
+    pub counters: RunCounters,
+    /// Per-phase latency attribution, present exactly when the engine ran
+    /// with tracing enabled ([`PulseBuilder::trace`] for the rack, the
+    /// baseline configs' `trace` flag otherwise). Per-phase means sum to
+    /// the mean latency.
+    pub phase: Option<PhaseAttribution>,
+}
+
+/// The counters one open-loop run reports beyond latency and goodput —
+/// declared once here, embedded by [`OpenLoopReport`] and by the sweep
+/// harness's row, so a new counter is one field. [`Default`] is the
+/// report of a run where nothing raced, hit, crossed a fabric, failed or
+/// speculated.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunCounters {
     /// Optimistic-concurrency re-issues the rack performed for this stream
     /// (seqlock readers/writers that lost a race; see
     /// `ClusterReport::retries`). Always 0 for the replay baselines, which
     /// execute sequentially and never race.
     pub retries: u64,
     /// Front-end traversal-cell cache hit rate over the run: locally
-    /// walked hops over all probes. 0.0 whenever the cache is disabled —
-    /// the sweep's CI gate greps exactly that.
+    /// walked hops over all probes. Exactly 0.0 whenever the cache is
+    /// disabled.
     pub cache_hit_rate: f64,
     /// Peak demand over the fabric links into CPU nodes (the incast-prone
     /// downlinks), normalized over the offered-load window so systems that
@@ -627,34 +643,29 @@ pub struct OpenLoopReport {
     /// Requests that fault-completed because *no* replica of something
     /// they needed was reachable (a subset of
     /// [`OpenLoopReport::faulted`]). Zero at replication ≥ 2 as long as
-    /// copies of every extent survive — the SLO-under-failure claim the
-    /// sweep's CI gate checks.
+    /// copies of every extent survive — the SLO-under-failure claim.
     pub unavailable_completions: u64,
     /// Bytes of background re-replication traffic (a crashed node's
     /// extents streaming from surviving replicas to rebuild targets) that
-    /// competed with this stream for links and dispatch.
+    /// competed with this stream for links and dispatch. 0 without a
+    /// crash, and always 0 for the replay baselines, which never rebuild.
     pub rereplication_bytes: u64,
     /// p99 over only the completions that finished inside the degraded
     /// window (first fault to last repair, open-ended when nothing
     /// heals). [`SimTime::ZERO`] without faults.
     pub degraded_p99: SimTime,
-    /// Per-phase latency attribution, present exactly when the engine ran
-    /// with tracing enabled ([`PulseBuilder::trace`] for the rack, the
-    /// baseline configs' `trace` flag otherwise). Per-phase means sum to
-    /// the mean latency.
-    pub phase: Option<PhaseAttribution>,
     /// ISA-v2 speculative next-hop issues that validated *wrong* and were
-    /// squashed ([`PulseBuilder::speculation`]) during this stream. 0
-    /// whenever speculation is off — and for every baseline, which has no
-    /// accelerators to speculate in.
+    /// squashed ([`PulseBuilder::speculation`]). 0 whenever speculation is
+    /// off — and for every baseline, which has no accelerators to
+    /// speculate in.
     pub mis_speculations: u64,
     /// ISA-v2 same-node hops fused into a preceding memory-bus transaction
-    /// ([`PulseBuilder::batching`]) during this stream. 0 at the default
-    /// batch window of 1, and for every baseline.
+    /// ([`PulseBuilder::batching`]). 0 at the default batch window of 1,
+    /// and for every baseline.
     pub batched_hops: u64,
     /// Traversal hops requests skipped by riding another request's
-    /// identical in-flight offload ([`PulseBuilder::coalescing`]) during
-    /// this stream. 0 with coalescing off, and for every baseline.
+    /// identical in-flight offload ([`PulseBuilder::coalescing`]). 0 with
+    /// coalescing off, and for every baseline.
     pub coalesced_prefix_hops: u64,
 }
 
@@ -728,13 +739,6 @@ impl OpenLoopDriver {
     ) -> Result<OpenLoopReport, Error> {
         let submitted = requests.len() as u64;
         let base = runtime.report();
-        let (base_retries, base_failovers, base_rereplication) =
-            (base.retries, base.failovers, base.rereplication_bytes);
-        let (base_mis, base_batched, base_coalesced) = (
-            base.mis_speculations,
-            base.batched_hops,
-            base.coalesced_prefix_hops,
-        );
         let base_cache = cache_counters(runtime);
         let mut t = runtime.now();
         let mut first_arrival = None;
@@ -785,6 +789,7 @@ impl OpenLoopDriver {
             let (h, m) = cache_counters(runtime);
             (h - base_cache.0, m - base_cache.1)
         };
+        let report = runtime.report();
         Ok(OpenLoopReport {
             label: "pulse".into(),
             offered_per_sec,
@@ -797,34 +802,37 @@ impl OpenLoopDriver {
             last_arrival,
             last_completion,
             completed_updates,
-            retries: runtime.report().retries - base_retries,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
+            counters: RunCounters {
+                retries: report.retries - base.retries,
+                cache_hit_rate: if hits + misses == 0 {
+                    0.0
+                } else {
+                    hits as f64 / (hits + misses) as f64
+                },
+                // Demand-normalized over the offered-load window, matching
+                // the baselines: a system that falls behind the offered
+                // rate still shows what that rate asks of its hottest CPU
+                // downlink.
+                link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
+                    let window = last_arrival
+                        .saturating_sub(first_arrival)
+                        .max(SimTime::from_nanos(1));
+                    f.cpu_downlink_peak(window)
+                }),
+                queue_depth: report.queue_depth,
+                failovers: report.failovers - base.failovers,
+                unavailable_completions: unavailable,
+                rereplication_bytes: report.rereplication_bytes - base.rereplication_bytes,
+                // p99s don't difference: this is the runtime-lifetime
+                // degraded tail, which equals this stream's on a fresh
+                // runtime (the documented way to drive an open-loop run).
+                // Likewise the phase attribution below.
+                degraded_p99: report.degraded_p99,
+                mis_speculations: report.mis_speculations - base.mis_speculations,
+                batched_hops: report.batched_hops - base.batched_hops,
+                coalesced_prefix_hops: report.coalesced_prefix_hops - base.coalesced_prefix_hops,
             },
-            // Demand-normalized over the offered-load window, matching the
-            // baselines: a system that falls behind the offered rate still
-            // shows what that rate asks of its hottest CPU downlink.
-            link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
-                let window = last_arrival
-                    .saturating_sub(first_arrival)
-                    .max(SimTime::from_nanos(1));
-                f.cpu_downlink_peak(window)
-            }),
-            queue_depth: runtime.report().queue_depth,
-            failovers: runtime.report().failovers - base_failovers,
-            unavailable_completions: unavailable,
-            rereplication_bytes: runtime.report().rereplication_bytes - base_rereplication,
-            // p99s don't difference: this is the runtime-lifetime degraded
-            // tail, which equals this stream's on a fresh runtime (the
-            // documented way to drive an open-loop run). Likewise the
-            // phase attribution below.
-            degraded_p99: runtime.report().degraded_p99,
-            phase: runtime.report().phase,
-            mis_speculations: runtime.report().mis_speculations - base_mis,
-            batched_hops: runtime.report().batched_hops - base_batched,
-            coalesced_prefix_hops: runtime.report().coalesced_prefix_hops - base_coalesced,
+            phase: report.phase,
         })
     }
 }

@@ -30,13 +30,10 @@ use pulse::mem::{ClusterAllocator, ClusterMemory, Perms, Placement, RangeTable};
 use pulse::net::{CodeBlob, IterPacket, IterStatus, RequestId};
 use pulse::workloads::{AppRequest, Application, Distribution, StartPtr, TraversalStage};
 use pulse::{
-    AppSpec, BaselineKind, BtrdbConfig, CacheConfig, ClusterConfig, DispatchConfig, Engine,
-    PulseBuilder, PulseMode, Runtime, WiredTigerConfig, YcsbWorkload,
+    AppSpec, BaselineKind, BtrdbConfig, CacheConfig, ClusterConfig, Engine, PulseBuilder,
+    PulseMode, Runtime, WiredTigerConfig, YcsbWorkload,
 };
-use pulse_bench::{
-    baseline_app_factory, cached_baseline_webservice_factory, cached_pulse_webservice_factory,
-    pulse_app_factory, pulse_ycsb_factory, sweep, AppKind, DEFAULT_GRANULARITY,
-};
+use pulse_bench::{baseline_factory, rack_factory, sweep, AppKind, DEFAULT_GRANULARITY};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -51,7 +48,7 @@ const REQUESTS: usize = 200;
 const CLIENTS: usize = 16;
 const SEED: u64 = 42;
 
-const WEBSERVICE: AppKind = AppKind::WebService(YcsbWorkload::C);
+const WEBSERVICE: AppKind = AppKind::WebService(Distribution::Zipfian);
 
 type Factory = Box<dyn Fn() -> (Box<dyn Engine>, Vec<AppRequest>) + Send + Sync>;
 
@@ -85,18 +82,24 @@ enum System {
     CacheBased,
 }
 
+/// A one-CPU pulse rack of `nodes` memory nodes.
+fn rack(nodes: usize) -> PulseBuilder {
+    PulseBuilder::new()
+        .nodes(nodes)
+        .granularity(DEFAULT_GRANULARITY)
+}
+
+/// The same wiring for a baseline with [`CLIENTS`] closed-loop clients.
+fn clients(nodes: usize) -> PulseBuilder {
+    rack(nodes).window(CLIENTS)
+}
+
 fn factory(system: System, kind: AppKind, nodes: usize) -> Factory {
     let baseline = |b: BaselineKind| -> Factory {
-        Box::new(baseline_app_factory(kind, nodes, b, CLIENTS, REQUESTS))
+        Box::new(baseline_factory(clients(nodes), b, kind, REQUESTS))
     };
     match system {
-        System::Pulse => Box::new(pulse_app_factory(
-            kind,
-            nodes,
-            1,
-            REQUESTS,
-            DispatchConfig::default(),
-        )),
+        System::Pulse => Box::new(rack_factory(rack(nodes), kind, REQUESTS)),
         System::Rpc => baseline(BaselineKind::Rpc(RpcConfig::rpc())),
         System::RpcArm => baseline(BaselineKind::Rpc(RpcConfig::rpc_arm())),
         System::CacheRpc => baseline(BaselineKind::Rpc(RpcConfig::cache_rpc(8 << 20))),
@@ -156,7 +159,7 @@ fn deployment(kind: AppKind, nodes: usize) -> (Runtime, Box<dyn Application>) {
     PulseBuilder::new()
         .nodes(nodes)
         .granularity(DEFAULT_GRANULARITY)
-        .build_with(kind.build(nodes))
+        .build_with(kind.build())
         .expect("wire the deployment")
 }
 
@@ -592,7 +595,7 @@ fn fig10_inputs(timing: AccelTiming) -> [f64; 6] {
     let (mut rt, mut app) = PulseBuilder::new()
         .config(config)
         .window(4)
-        .build_with(WEBSERVICE.build(1))
+        .build_with(WEBSERVICE.build())
         .expect("wire pulse rack");
     for _ in 0..REQUESTS {
         rt.submit(app.next_request()).expect("valid request");
@@ -1074,27 +1077,22 @@ struct AppendixFig6 {
 fn appendix_fig6_inputs(compared: BaselineKind) -> AppendixFig6 {
     let at = |nodes, dist| {
         [
-            curve(cached_pulse_webservice_factory(
-                nodes,
-                1,
+            curve(rack_factory(
+                rack(nodes),
+                AppKind::WebService(dist),
                 REQUESTS,
-                DispatchConfig::default(),
-                CacheConfig::disabled(),
-                dist,
             )),
-            curve(cached_baseline_webservice_factory(
-                nodes,
+            curve(baseline_factory(
+                clients(nodes),
                 compared.clone(),
-                CLIENTS,
+                AppKind::WebService(dist),
                 REQUESTS,
-                dist,
             )),
-            curve(cached_baseline_webservice_factory(
-                nodes,
+            curve(baseline_factory(
+                clients(nodes),
                 swap_cache(),
-                CLIENTS,
+                AppKind::WebService(dist),
                 REQUESTS,
-                dist,
             )),
         ]
     };
@@ -1213,13 +1211,10 @@ fn appendix_c2_memory_pipelines() {
 fn cached_curve(dist: Distribution) -> Curve {
     let (_, app) = deployment(WEBSERVICE, 1);
     let cache = CacheConfig::sized(app.working_set_bytes() / 16);
-    curve(cached_pulse_webservice_factory(
-        1,
-        1,
+    curve(rack_factory(
+        rack(1).cache(cache),
+        AppKind::WebService(dist),
         REQUESTS,
-        DispatchConfig::default(),
-        cache,
-        dist,
     ))
 }
 
@@ -1256,13 +1251,10 @@ struct Sensitivity {
 fn sensitivity_inputs() -> &'static Sensitivity {
     static M: OnceLock<Sensitivity> = OnceLock::new();
     M.get_or_init(|| {
-        let mixed = curve(pulse_ycsb_factory(
-            YcsbWorkload::A,
-            1,
-            1,
+        let mixed = curve(rack_factory(
+            rack(1),
+            AppKind::Ycsb(YcsbWorkload::A),
             REQUESTS,
-            DispatchConfig::default(),
-            CacheConfig::disabled(),
         ));
         Sensitivity {
             access: (

@@ -5,67 +5,65 @@
 //! its own SplitMix64 arrival stream — so parallelism may only change
 //! wall-clock, never a single emitted byte.
 
-use pulse::{DispatchConfig, YcsbWorkload};
+use pulse::baselines::RpcConfig;
+use pulse::workloads::Distribution;
+use pulse::{BaselineKind, PulseBuilder, YcsbWorkload};
 use pulse_bench::{
-    pulse_app_factory, pulse_ycsb_factory, sweep, sweep_json, sweep_par, AppKind, CurveSpec,
+    baseline_factory, rack_factory, sweep, sweep_json, sweep_par, AppKind, CurveFactory, CurveSpec,
+    DEFAULT_GRANULARITY,
 };
 
 const LOADS: [f64; 3] = [50.0, 200.0, 800.0];
 const SEED: u64 = 0xC0FFEE;
 const REQUESTS: usize = 120;
+const LABELS: [&str; 3] = ["par-pulse", "par-ycsb-a", "par-rpc"];
 
-fn specs() -> Vec<CurveSpec> {
-    vec![
-        CurveSpec::new(
-            "par-pulse",
-            &LOADS,
-            SEED,
-            pulse_app_factory(
-                AppKind::WebService(YcsbWorkload::C),
-                2,
-                2,
-                REQUESTS,
-                DispatchConfig::default(),
-            ),
-        ),
-        CurveSpec::new(
-            "par-ycsb-a",
-            &LOADS,
-            SEED,
-            pulse_ycsb_factory(
-                YcsbWorkload::A,
-                2,
-                2,
-                REQUESTS,
-                DispatchConfig::default(),
-                Default::default(),
-            ),
-        ),
+/// The three curves, one per factory shape: the pulse rack over
+/// read-only WebService, the rack under the YCSB-A driver, and the RPC
+/// baseline over the same WebService deployment.
+fn factories() -> [CurveFactory; 3] {
+    let rack = || {
+        PulseBuilder::new()
+            .nodes(2)
+            .cpus(2)
+            .granularity(DEFAULT_GRANULARITY)
+    };
+    let webservice = AppKind::WebService(Distribution::Zipfian);
+    [
+        Box::new(rack_factory(rack(), webservice, REQUESTS)),
+        Box::new(rack_factory(
+            rack(),
+            AppKind::Ycsb(YcsbWorkload::A),
+            REQUESTS,
+        )),
+        Box::new(baseline_factory(
+            PulseBuilder::new()
+                .nodes(2)
+                .window(16)
+                .granularity(DEFAULT_GRANULARITY),
+            BaselineKind::Rpc(RpcConfig::rpc()),
+            webservice,
+            REQUESTS,
+        )),
     ]
 }
 
+fn specs() -> Vec<CurveSpec> {
+    LABELS
+        .into_iter()
+        .zip(factories())
+        .map(|(label, make)| CurveSpec::new(label, &LOADS, SEED, make))
+        .collect()
+}
+
 /// The serial reference: the exact ladder `sweep()` would run for the same
-/// two curves, serialized with the same `sweep_json`.
+/// curves, serialized with the same `sweep_json`.
 fn serial_reference() -> String {
-    let mut make_pulse = pulse_app_factory(
-        AppKind::WebService(YcsbWorkload::C),
-        2,
-        2,
-        REQUESTS,
-        DispatchConfig::default(),
-    );
-    let mut make_ycsb = pulse_ycsb_factory(
-        YcsbWorkload::A,
-        2,
-        2,
-        REQUESTS,
-        DispatchConfig::default(),
-        Default::default(),
-    );
-    let curves = vec![
-        sweep("par-pulse", &LOADS, SEED, &mut make_pulse).expect("serial pulse curve"),
-        sweep("par-ycsb-a", &LOADS, SEED, &mut make_ycsb).expect("serial ycsb curve"),
-    ];
+    let curves: Vec<_> = LABELS
+        .into_iter()
+        .zip(factories())
+        .map(|(label, make)| sweep(label, &LOADS, SEED, make).expect("serial curve"))
+        .collect();
     sweep_json(&curves)
 }
 
@@ -86,8 +84,8 @@ fn parallel_sweep_json_is_byte_identical_to_serial() {
 #[test]
 fn parallel_sweep_reports_timings_per_rung() {
     let par = sweep_par(&specs(), 2).expect("parallel sweep");
-    assert_eq!(par.timings.len(), 2);
-    for (timing, spec_label) in par.timings.iter().zip(["par-pulse", "par-ycsb-a"]) {
+    assert_eq!(par.timings.len(), LABELS.len());
+    for (timing, spec_label) in par.timings.iter().zip(LABELS) {
         assert_eq!(timing.label, spec_label);
         assert_eq!(timing.rung_wall_ms.len(), LOADS.len());
         assert!(timing.sim_ops > 0, "{spec_label}: no simulated ops counted");

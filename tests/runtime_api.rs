@@ -726,16 +726,19 @@ fn open_loop_crash_degrades_but_replication_keeps_service() {
     };
     let replicated = run(2);
     assert_eq!(replicated.completed, 150, "nothing lost at replication 2");
-    assert_eq!(replicated.unavailable_completions, 0);
-    assert!(replicated.failovers > 0);
-    assert!(replicated.rereplication_bytes > 0);
-    assert!(replicated.degraded_p99 > SimTime::ZERO);
+    assert_eq!(replicated.counters.unavailable_completions, 0);
+    assert!(replicated.counters.failovers > 0);
+    assert!(replicated.counters.rereplication_bytes > 0);
+    assert!(replicated.counters.degraded_p99 > SimTime::ZERO);
 
     let bare = run(1);
-    assert!(bare.unavailable_completions > 0, "no replicas to save it");
-    assert_eq!(bare.faulted, bare.unavailable_completions);
+    assert!(
+        bare.counters.unavailable_completions > 0,
+        "no replicas to save it"
+    );
+    assert_eq!(bare.faulted, bare.counters.unavailable_completions);
     assert_eq!(bare.completed + bare.faulted, 150);
-    assert_eq!(bare.rereplication_bytes, 0);
+    assert_eq!(bare.counters.rereplication_bytes, 0);
 }
 
 /// Builder validation for the fault layer: zero replication and faults

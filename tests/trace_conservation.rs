@@ -240,7 +240,7 @@ fn trace_none_is_default_and_tracing_never_perturbs() {
         assert_eq!(rep.latency.p50, default.latency.p50, "{label}");
         assert_eq!(rep.latency.p95, default.latency.p95, "{label}");
         assert_eq!(rep.latency.p99, default.latency.p99, "{label}");
-        assert_eq!(rep.retries, default.retries, "{label}");
+        assert_eq!(rep.counters.retries, default.counters.retries, "{label}");
         assert!(
             (rep.goodput_per_sec - default.goodput_per_sec).abs() < 1e-9,
             "{label}"
@@ -279,7 +279,7 @@ fn spec_squash_spans_still_tile_request_latency() {
     let rep = runtime.execute_open_loop(&reqs, arrivals).expect("run");
     assert_eq!(rep.completed + rep.faulted, 600);
     assert!(
-        rep.mis_speculations > 0,
+        rep.counters.mis_speculations > 0,
         "a hot-keyed 50%-update mix at load must squash some speculated windows"
     );
 

@@ -83,11 +83,11 @@ fn open_loop_mixed_load_counts_retries_and_update_goodput() {
         "update goodput must be nonzero: {rep:?}"
     );
     assert!(
-        rep.retries > 0,
+        rep.counters.retries > 0,
         "zipfian YCSB-A at 400 kops must race at least once (got {} retries)",
-        rep.retries
+        rep.counters.retries
     );
-    assert_eq!(rep.retries, runtime.report().retries);
+    assert_eq!(rep.counters.retries, runtime.report().retries);
 }
 
 /// YCSB-A with the front-end cache enabled: the mixed stream completes
