@@ -364,6 +364,10 @@ pub struct PulseCluster {
     submitted: u64,
     /// The event loop (incremental: submit/step/take_completions).
     drv: Driver<Ev>,
+    /// Reused output buffer for accelerator events: taken for each
+    /// `on_packet`/`step` call and handed back by `absorb`, so the
+    /// per-iteration path allocates nothing.
+    accel_out: Vec<AccelOutput>,
     /// Completions accumulated since the last [`Self::take_completions`].
     done: Vec<Completion>,
     /// Per-memory-node link partitions (the node is healthy, its path is
@@ -568,6 +572,7 @@ impl PulseCluster {
             touched_pool: Vec::new(),
             submitted: 0,
             drv,
+            accel_out: Vec::new(),
             done: Vec::new(),
             partitioned: vec![false; nodes],
             wedged: vec![false; nodes],
@@ -754,7 +759,8 @@ impl PulseCluster {
                     }
                     return;
                 }
-                let outs = self.accels[n].step(now, aev, &mut self.mem);
+                let mut outs = std::mem::take(&mut self.accel_out);
+                self.accels[n].step(now, aev, &mut self.mem, &mut outs);
                 self.absorb(drv, n, outs);
             }
             Ev::AtCpu(pkt) => self.at_cpu(drv, now, pkt),
@@ -1680,7 +1686,8 @@ impl PulseCluster {
         }
         match pkt {
             Packet::Iter(ip) => {
-                let outs = self.accels[n].on_packet(now, ip);
+                let mut outs = std::mem::take(&mut self.accel_out);
+                self.accels[n].on_packet(now, ip, &mut outs);
                 self.absorb(drv, n, outs);
             }
             Packet::Read { id, addr, len } => {
@@ -1764,9 +1771,10 @@ impl PulseCluster {
 
     /// Feeds accelerator outputs back into the event loop, applying the
     /// near-memory gather: a final-stage `Done` response picks up the
-    /// request's object in place when it lives on the same node.
-    fn absorb(&mut self, drv: &mut Driver<Ev>, n: NodeId, outs: Vec<AccelOutput>) {
-        for out in outs {
+    /// request's object in place when it lives on the same node. The
+    /// drained buffer goes back to `accel_out` for the next event.
+    fn absorb(&mut self, drv: &mut Driver<Ev>, n: NodeId, mut outs: Vec<AccelOutput>) {
+        for out in outs.drain(..) {
             match out {
                 AccelOutput::Internal { at, event } => drv.schedule_at(at, Ev::Accel(n, event)),
                 AccelOutput::Depart {
@@ -1843,6 +1851,7 @@ impl PulseCluster {
                 }
             }
         }
+        self.accel_out = outs;
     }
 
     /// Re-transmits a bounced/limited traversal from its owning CPU node:

@@ -346,6 +346,30 @@ mod tests {
     }
 
     #[test]
+    fn all_samples_survive_the_wire() {
+        use pulse_isa::{decode_program, encode_program, Program};
+        for spec in [
+            hash_find_spec(),
+            btree_search_spec(5),
+            btree_search_spec(DEFAULT_BTREE_FANOUT),
+            btrdb_aggregate_spec(DEFAULT_BTRDB_LEAF_CAP),
+            compute_heavy_spec(),
+            list_find_spec(),
+        ] {
+            let p = compile(&spec).unwrap();
+            let wire = encode_program(&p);
+            let q = decode_program(&wire).unwrap();
+            assert_eq!(encode_program(&q), wire, "{}", p.name());
+            // The wire format carries no name; everything else — the
+            // cached decoded form and wire length included — must compare
+            // equal.
+            let renamed =
+                Program::new(q.name(), p.window(), p.insns().to_vec(), p.scratch_len()).unwrap();
+            assert_eq!(q, renamed, "{}", p.name());
+        }
+    }
+
+    #[test]
     fn btree_unrolling_scales_with_fanout() {
         let p5 = compile(&btree_search_spec(5)).unwrap();
         let p8 = compile(&btree_search_spec(8)).unwrap();

@@ -195,21 +195,25 @@ impl TraversalCache {
         self.stats.misses += 1;
     }
 
-    fn line_range(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
-        let first = addr / self.cfg.line_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.line_bytes;
-        first..=last
+    /// The line keys covering `[addr, addr+len)`, or `None` when the range
+    /// runs past the end of the address space (no line can cover it).
+    fn line_range(&self, addr: u64, len: u64) -> Option<std::ops::RangeInclusive<u64>> {
+        let end = addr.checked_add(len.max(1))?;
+        Some(addr / self.cfg.line_bytes..=(end - 1) / self.cfg.line_bytes)
     }
 
     /// Whether every line covering `[addr, addr+len)` is resident *and*
     /// version-valid against `mem`. Stale lines discovered here are
     /// evicted (counted as invalidations). Touches recency on success; no
-    /// hit/miss accounting — callers decide what one probe means.
+    /// hit/miss accounting — callers decide what one probe means. A range
+    /// that wraps past `u64::MAX` is a miss.
     pub fn probe_range(&mut self, addr: u64, len: u64, mem: &ClusterMemory) -> bool {
         let line_bytes = self.cfg.line_bytes;
         // Two passes over the same cheap range (validate, then refresh
         // recency) — no per-probe allocation on this hot path.
-        let keys = self.line_range(addr, len);
+        let Some(keys) = self.line_range(addr, len) else {
+            return false;
+        };
         for k in keys.clone() {
             match self.lines.get(&k) {
                 None => return false,
@@ -263,7 +267,7 @@ impl TraversalCache {
         let epoch = mem.write_epoch();
         let mut new_lines = 0u64;
         let mut new_bytes = 0u64;
-        for key in self.line_range(addr, len) {
+        for key in self.line_range(addr, len).into_iter().flatten() {
             let line_start = key * line_bytes;
             if let Some(line) = self.lines.get(&key) {
                 if mem.version_of(line_start, line_bytes) <= line.version {
@@ -298,7 +302,7 @@ impl TraversalCache {
     /// write-invalidation hook the replay baselines drive (the pulse rack
     /// relies on version validation instead).
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        for key in self.line_range(addr, len) {
+        for key in self.line_range(addr, len).into_iter().flatten() {
             if self.lines.remove(&key).is_some() {
                 self.stats.invalidations += 1;
             }
@@ -414,6 +418,18 @@ mod tests {
         assert_eq!(c.resident_lines(), 2);
         assert!(!c.probe_range(0x1000, 8, &mem));
         assert!(c.probe_range(0x1080, 8, &mem));
+    }
+
+    #[test]
+    fn wrapping_range_is_a_miss() {
+        let mut mem = mem_with_data();
+        let mut c = TraversalCache::new(CacheConfig::sized(4096));
+        assert!(!c.probe_range(u64::MAX - 8, 24, &mem));
+        let mut buf = [0xAAu8; 24];
+        assert!(!c.try_read(u64::MAX - 8, &mut buf, &mem));
+        assert_eq!(c.fill_range(u64::MAX - 8, 24, &mut mem), (0, 0));
+        c.invalidate_range(u64::MAX - 8, 24);
+        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

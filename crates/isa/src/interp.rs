@@ -11,7 +11,7 @@
 //! the semantics of a traversal are identical on every execution engine.
 
 use crate::membus::{MemBus, MemFault};
-use crate::ops::{AluOp, Operand, Place, NUM_REGS};
+use crate::ops::{AluOp, Cond, Operand, Place, Width, NUM_REGS};
 use crate::program::{Instruction, Program};
 use std::fmt;
 
@@ -203,6 +203,10 @@ impl Interpreter {
         self.window_buf.resize(window.len as usize, 0);
         bus.read(base, &mut self.window_buf)?;
 
+        let node: &[u8] = &self.window_buf;
+        let cur_ptr = state.cur_ptr;
+        let sp: &mut [u8] = &mut state.scratch;
+
         let mut regs = [0u64; NUM_REGS as usize];
         let mut pc: u32 = 0;
         let mut executed: u32 = 0;
@@ -211,15 +215,25 @@ impl Interpreter {
         let mut store_bytes: u32 = 0;
         let mut spec_next: Option<u64> = None;
         let mut spec_inhibit = false;
-        let insns = program.insns();
+        let ops = program.decoded();
+        let get = |src: Src, regs: &[u64; NUM_REGS as usize], sp: &[u8]| -> u64 {
+            match src {
+                Src::Imm(v) => v,
+                Src::Reg(r) => regs[r as usize],
+                Src::CurPtr => cur_ptr,
+                Src::Sp8(off) => read8(sp, off),
+                Src::Node8(off) => read8(node, off),
+                Src::Sp(off, width) => read_narrow(sp, off, width),
+                Src::Node(off, width) => read_narrow(node, off, width),
+            }
+        };
 
-        loop {
-            let insn = insns[pc as usize];
+        let outcome = loop {
             executed += 1;
-            match insn {
-                Instruction::Alu { op, dst, a, b } => {
-                    let av = self.read_operand(a, &regs, state);
-                    let bv = self.read_operand(b, &regs, state);
+            match ops[pc as usize] {
+                Op::Alu { op, dst, a, b } => {
+                    let av = get(a, &regs, sp);
+                    let bv = get(b, &regs, sp);
                     let v = match op {
                         AluOp::Add => av.wrapping_add(bv),
                         AluOp::Sub => av.wrapping_sub(bv),
@@ -233,44 +247,40 @@ impl Interpreter {
                         AluOp::And => av & bv,
                         AluOp::Or => av | bv,
                     };
-                    self.write_place(dst, v, &mut regs, state);
+                    put(dst, v, &mut regs, sp);
                 }
-                Instruction::Not { dst, a } => {
-                    let av = self.read_operand(a, &regs, state);
-                    self.write_place(dst, !av, &mut regs, state);
+                Op::Not { dst, a } => {
+                    let v = !get(a, &regs, sp);
+                    put(dst, v, &mut regs, sp);
                 }
-                Instruction::Move { dst, src } => {
-                    let v = self.read_operand(src, &regs, state);
-                    self.write_place(dst, v, &mut regs, state);
+                Op::Move { dst, src } => {
+                    let v = get(src, &regs, sp);
+                    put(dst, v, &mut regs, sp);
                 }
-                Instruction::Load {
+                Op::Load {
                     dst,
                     base,
                     off,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let v = bus.read_word(addr, width.bytes())?;
-                    self.write_place(dst, v, &mut regs, state);
+                    let addr = get(base, &regs, sp).wrapping_add(off);
+                    let v = bus.read_word(addr, width)?;
+                    put(dst, v, &mut regs, sp);
                     extra_loads += 1;
                 }
-                Instruction::Store {
+                Op::Store {
                     base,
                     off,
                     src,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let v = self.read_operand(src, &regs, state);
-                    bus.write_word(addr, v, width.bytes())?;
+                    let addr = get(base, &regs, sp).wrapping_add(off);
+                    let v = get(src, &regs, sp);
+                    bus.write_word(addr, v, width)?;
                     stores += 1;
-                    store_bytes += width.bytes();
+                    store_bytes += width;
                 }
-                Instruction::Cas {
+                Op::Cas {
                     dst,
                     base,
                     off,
@@ -278,71 +288,55 @@ impl Interpreter {
                     src,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let expect = self.read_operand(expect, &regs, state);
-                    let new = self.read_operand(src, &regs, state);
-                    let old = bus.cas_word(addr, expect, new, width.bytes())?;
-                    self.write_place(dst, old, &mut regs, state);
+                    let addr = get(base, &regs, sp).wrapping_add(off);
+                    let expect = get(expect, &regs, sp);
+                    let new = get(src, &regs, sp);
+                    let old = bus.cas_word(addr, expect, new, width)?;
+                    put(dst, old, &mut regs, sp);
                     // One read trip plus one (conditional) write trip on the
                     // memory pipeline; charged like a load + a store.
                     extra_loads += 1;
                     stores += 1;
-                    store_bytes += width.bytes();
+                    store_bytes += width;
                 }
-                Instruction::SpecHint { ptr } => {
-                    spec_next = Some(self.read_operand(ptr, &regs, state));
-                }
-                Instruction::NoSpec => {
-                    spec_inhibit = true;
-                }
-                Instruction::CmpJump { cond, a, b, target } => {
-                    let av = self.read_operand(a, &regs, state);
-                    let bv = self.read_operand(b, &regs, state);
-                    if cond.eval(av, bv) {
+                Op::SpecHint { ptr } => spec_next = Some(get(ptr, &regs, sp)),
+                Op::NoSpec => spec_inhibit = true,
+                Op::CmpJump { cond, a, b, target } => {
+                    if cond.eval(get(a, &regs, sp), get(b, &regs, sp)) {
                         pc = target;
                         continue;
                     }
                 }
-                Instruction::Jump { target } => {
+                Op::Jump { target } => {
                     pc = target;
                     continue;
                 }
-                Instruction::NextIter { next } => {
-                    state.cur_ptr = self.read_operand(next, &regs, state);
-                    state.iters_done += 1;
-                    return Ok(IterTrace {
-                        insns_executed: executed,
-                        extra_loads,
-                        stores,
-                        store_bytes,
-                        window_bytes: window.len,
-                        outcome: IterOutcome::Continue,
-                        spec_next,
-                        spec_inhibit,
-                    });
+                Op::NextIter { next } => {
+                    state.cur_ptr = get(next, &regs, sp);
+                    break IterOutcome::Continue;
                 }
-                Instruction::Return { code } => {
-                    let code = self.read_operand(code, &regs, state);
-                    state.iters_done += 1;
-                    return Ok(IterTrace {
-                        insns_executed: executed,
-                        extra_loads,
-                        stores,
-                        store_bytes,
-                        window_bytes: window.len,
-                        outcome: IterOutcome::Done { code },
-                        spec_next,
-                        spec_inhibit,
-                    });
+                Op::Return { code } => {
+                    break IterOutcome::Done {
+                        code: get(code, &regs, sp),
+                    };
                 }
             }
             pc += 1;
             // Validation guarantees the last instruction is terminal, so pc
             // can never run past the end.
-            debug_assert!((pc as usize) < insns.len());
-        }
+            debug_assert!((pc as usize) < ops.len());
+        };
+        state.iters_done += 1;
+        Ok(IterTrace {
+            insns_executed: executed,
+            extra_loads,
+            stores,
+            store_bytes,
+            window_bytes: window.len,
+            outcome,
+            spec_next,
+            spec_inhibit,
+        })
     }
 
     /// Runs iterations until `RETURN`, a fault, or `max_iters` total
@@ -380,37 +374,233 @@ impl Interpreter {
         }
         Ok(run)
     }
+}
 
-    fn read_operand(&self, op: Operand, regs: &[u64], state: &IterState) -> u64 {
+/// An [`Operand`] with its addressing mode resolved once, at program
+/// construction: 8-byte scratchpad and window reads become fixed-size
+/// little-endian loads, and only narrower widths keep a width to match on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Src {
+    Imm(u64),
+    Reg(u8),
+    CurPtr,
+    Sp8(u16),
+    Node8(u16),
+    Sp(u16, Width),
+    Node(u16, Width),
+}
+
+impl From<Operand> for Src {
+    fn from(op: Operand) -> Src {
         match op {
-            Operand::Imm(v) => v as u64,
-            Operand::Reg(r) => regs[r.index() as usize],
-            Operand::CurPtr => state.cur_ptr,
-            Operand::Sp { off, width } => {
-                read_le(&state.scratch, off as usize, width.bytes() as usize)
-            }
-            Operand::Node { off, width } => {
-                read_le(&self.window_buf, off as usize, width.bytes() as usize)
-            }
-        }
-    }
-
-    fn write_place(&self, place: Place, v: u64, regs: &mut [u64], state: &mut IterState) {
-        match place {
-            Place::Reg(r) => regs[r.index() as usize] = v,
-            Place::Sp { off, width } => {
-                let bytes = v.to_le_bytes();
-                let n = width.bytes() as usize;
-                state.scratch[off as usize..off as usize + n].copy_from_slice(&bytes[..n]);
-            }
+            Operand::Imm(v) => Src::Imm(v as u64),
+            Operand::Reg(r) => Src::Reg(r.index()),
+            Operand::CurPtr => Src::CurPtr,
+            Operand::Sp {
+                off,
+                width: Width::B8,
+            } => Src::Sp8(off),
+            Operand::Node {
+                off,
+                width: Width::B8,
+            } => Src::Node8(off),
+            Operand::Sp { off, width } => Src::Sp(off, width),
+            Operand::Node { off, width } => Src::Node(off, width),
         }
     }
 }
 
-fn read_le(buf: &[u8], off: usize, n: usize) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes[..n].copy_from_slice(&buf[off..off + n]);
-    u64::from_le_bytes(bytes)
+/// A [`Place`] resolved like [`Src`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dst {
+    Reg(u8),
+    Sp8(u16),
+    Sp(u16, Width),
+}
+
+impl From<Place> for Dst {
+    fn from(place: Place) -> Dst {
+        match place {
+            Place::Reg(r) => Dst::Reg(r.index()),
+            Place::Sp {
+                off,
+                width: Width::B8,
+            } => Dst::Sp8(off),
+            Place::Sp { off, width } => Dst::Sp(off, width),
+        }
+    }
+}
+
+/// One [`Instruction`] in the interpreter's execution form: operands
+/// resolved to [`Src`]/[`Dst`], memory displacements sign-extended and
+/// access widths turned into byte counts. [`Program::new`] decodes every
+/// instruction once; [`Interpreter::run_iteration`] runs only this form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Alu {
+        op: AluOp,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    Not {
+        dst: Dst,
+        a: Src,
+    },
+    Move {
+        dst: Dst,
+        src: Src,
+    },
+    Load {
+        dst: Dst,
+        base: Src,
+        off: u64,
+        width: u32,
+    },
+    Store {
+        base: Src,
+        off: u64,
+        src: Src,
+        width: u32,
+    },
+    Cas {
+        dst: Dst,
+        base: Src,
+        off: u64,
+        expect: Src,
+        src: Src,
+        width: u32,
+    },
+    SpecHint {
+        ptr: Src,
+    },
+    NoSpec,
+    CmpJump {
+        cond: Cond,
+        a: Src,
+        b: Src,
+        target: u32,
+    },
+    Jump {
+        target: u32,
+    },
+    NextIter {
+        next: Src,
+    },
+    Return {
+        code: Src,
+    },
+}
+
+impl From<Instruction> for Op {
+    fn from(insn: Instruction) -> Op {
+        let disp = |off: i32| off as i64 as u64;
+        match insn {
+            Instruction::Alu { op, dst, a, b } => Op::Alu {
+                op,
+                dst: dst.into(),
+                a: a.into(),
+                b: b.into(),
+            },
+            Instruction::Not { dst, a } => Op::Not {
+                dst: dst.into(),
+                a: a.into(),
+            },
+            Instruction::Move { dst, src } => Op::Move {
+                dst: dst.into(),
+                src: src.into(),
+            },
+            Instruction::Load {
+                dst,
+                base,
+                off,
+                width,
+            } => Op::Load {
+                dst: dst.into(),
+                base: base.into(),
+                off: disp(off),
+                width: width.bytes(),
+            },
+            Instruction::Store {
+                base,
+                off,
+                src,
+                width,
+            } => Op::Store {
+                base: base.into(),
+                off: disp(off),
+                src: src.into(),
+                width: width.bytes(),
+            },
+            Instruction::Cas {
+                dst,
+                base,
+                off,
+                expect,
+                src,
+                width,
+            } => Op::Cas {
+                dst: dst.into(),
+                base: base.into(),
+                off: disp(off),
+                expect: expect.into(),
+                src: src.into(),
+                width: width.bytes(),
+            },
+            Instruction::SpecHint { ptr } => Op::SpecHint { ptr: ptr.into() },
+            Instruction::NoSpec => Op::NoSpec,
+            Instruction::CmpJump { cond, a, b, target } => Op::CmpJump {
+                cond,
+                a: a.into(),
+                b: b.into(),
+                target,
+            },
+            Instruction::Jump { target } => Op::Jump { target },
+            Instruction::NextIter { next } => Op::NextIter { next: next.into() },
+            Instruction::Return { code } => Op::Return { code: code.into() },
+        }
+    }
+}
+
+fn read8(buf: &[u8], off: u16) -> u64 {
+    let off = off as usize;
+    u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
+}
+
+/// A zero-extended read of a sub-8-byte (or, for completeness, 8-byte)
+/// little-endian field.
+fn read_narrow(buf: &[u8], off: u16, width: Width) -> u64 {
+    let off = off as usize;
+    match width {
+        Width::B1 => buf[off] as u64,
+        Width::B2 => u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes")) as u64,
+        Width::B4 => u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as u64,
+        Width::B8 => read8(buf, off as u16),
+    }
+}
+
+/// Writes `v` to `dst`; a narrow scratchpad store keeps only the low bytes.
+fn put(dst: Dst, v: u64, regs: &mut [u64; NUM_REGS as usize], sp: &mut [u8]) {
+    match dst {
+        Dst::Reg(r) => regs[r as usize] = v,
+        Dst::Sp8(off) => write8(sp, off, v),
+        Dst::Sp(off, width) => write_narrow(sp, off, width, v),
+    }
+}
+
+fn write8(buf: &mut [u8], off: u16, v: u64) {
+    let off = off as usize;
+    buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn write_narrow(buf: &mut [u8], off: u16, width: Width, v: u64) {
+    let off = off as usize;
+    match width {
+        Width::B1 => buf[off] = v as u8,
+        Width::B2 => buf[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+        Width::B4 => buf[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+        Width::B8 => write8(buf, off as u16, v),
+    }
 }
 
 #[cfg(test)]
@@ -726,6 +916,78 @@ mod tests {
             .unwrap();
         assert!(trace.spec_inhibit);
         assert_eq!(trace.spec_next, None);
+    }
+
+    const WIDTHS: [Width; 4] = [Width::B1, Width::B2, Width::B4, Width::B8];
+
+    #[test]
+    fn every_width_reads_zero_extended_from_scratch_and_window() {
+        // Distinct bytes everywhere, so a read of the wrong width, offset or
+        // byte order returns a different value.
+        let pattern = |i: usize| 0x10 + i as u8 * 7;
+        let mut m = VecMem::new(0x1000, 64);
+        for i in 0..32 {
+            m.write_word(0x1000 + i as u64, pattern(i) as u64 ^ 0xFF, 1)
+                .unwrap();
+        }
+        for width in WIDTHS {
+            let n = width.bytes() as usize;
+            for off in [1u16, 3, 8, 24 - n as u16] {
+                for node in [false, true] {
+                    let src = if node {
+                        Operand::Node { off, width }
+                    } else {
+                        Operand::Sp { off, width }
+                    };
+                    let mut b = ProgramBuilder::new("read", 32, 32);
+                    b.ret(src);
+                    let prog = b.finish().unwrap();
+                    let mut st = IterState::new(&prog, 0x1000);
+                    for (i, byte) in st.scratch.iter_mut().enumerate() {
+                        *byte = pattern(i);
+                    }
+                    let trace = Interpreter::new()
+                        .run_iteration(&prog, &mut st, &mut m)
+                        .unwrap();
+                    let mut want = [0u8; 8];
+                    for (i, w) in want.iter_mut().take(n).enumerate() {
+                        let byte = pattern(off as usize + i);
+                        *w = if node { byte ^ 0xFF } else { byte };
+                    }
+                    assert_eq!(
+                        trace.outcome,
+                        IterOutcome::Done {
+                            code: u64::from_le_bytes(want)
+                        },
+                        "{src}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_writes_only_its_low_bytes_to_scratch() {
+        let v: i64 = 0x0102_0304_0506_0708;
+        for width in WIDTHS {
+            let n = width.bytes() as usize;
+            for off in [1u16, 5, 8, 32 - n as u16] {
+                let mut b = ProgramBuilder::new("write", 8, 32);
+                b.mov(Place::Sp { off, width }, Operand::Imm(v));
+                b.ret(Operand::Imm(0));
+                let prog = b.finish().unwrap();
+                let mut m = VecMem::new(0, 8);
+                let mut st = IterState::new(&prog, 0);
+                st.scratch.fill(0xEE);
+                Interpreter::new()
+                    .run_iteration(&prog, &mut st, &mut m)
+                    .unwrap();
+                let mut want = vec![0xEEu8; 32];
+                let off = off as usize;
+                want[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
+                assert_eq!(st.scratch, want, "sp[{off}:{width}]");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! PULSE programs: the instruction enum, program container, and the static
 //! validator that enforces the paper's bounded-computation rules (§3, §4.1).
 
+use crate::interp::Op;
 use crate::ops::{AluOp, Cond, Operand, Place, Width};
 use std::fmt;
 
@@ -313,9 +314,11 @@ pub struct Program {
     window: NodeWindow,
     insns: Vec<Instruction>,
     scratch_len: u16,
-    // Cached wire-encoding size; a pure function of the fields above,
-    // computed once at validation so packet sizing never re-encodes.
+    // Cached wire-encoding size and execution form; pure functions of the
+    // fields above, computed once at validation so packet sizing never
+    // re-encodes and the interpreter never re-decodes.
     wire_len: usize,
+    decoded: Box<[Op]>,
 }
 
 impl Program {
@@ -339,9 +342,11 @@ impl Program {
             insns,
             scratch_len,
             wire_len: 0,
+            decoded: Box::default(),
         };
         prog.validate()?;
         prog.wire_len = crate::encode::wire_len_of(&prog.insns);
+        prog.decoded = prog.insns.iter().map(|&i| Op::from(i)).collect();
         Ok(prog)
     }
 
@@ -481,6 +486,12 @@ impl Program {
     /// Declared scratchpad length in bytes.
     pub fn scratch_len(&self) -> u16 {
         self.scratch_len
+    }
+
+    /// The validated instruction stream in the interpreter's execution
+    /// form, decoded once at construction.
+    pub(crate) fn decoded(&self) -> &[Op] {
+        &self.decoded
     }
 
     /// The size in bytes of this program's wire encoding

@@ -153,13 +153,14 @@ impl ClusterMemory {
     }
 
     /// The newest write epoch stamped on any granule intersecting
-    /// `[addr, addr + len)` (0 if the range was never written).
+    /// `[addr, addr + len)` (0 if the range was never written). A range
+    /// running past `u64::MAX` is clamped to the end of the address space.
     pub fn version_of(&self, addr: u64, len: u64) -> u64 {
         if len == 0 {
             return 0;
         }
         let first = addr / VERSION_GRANULE_BYTES;
-        let last = (addr + len - 1) / VERSION_GRANULE_BYTES;
+        let last = addr.saturating_add(len - 1) / VERSION_GRANULE_BYTES;
         (first..=last)
             .filter_map(|g| self.granule_versions.get(&g).copied())
             .max()
@@ -691,5 +692,9 @@ mod tests {
         let epoch = m.write_epoch();
         assert!(m.write(0x5000, &buf).is_err());
         assert_eq!(m.write_epoch(), epoch);
+        // A range running past the end of the address space clamps
+        // instead of overflowing.
+        assert_eq!(m.version_of(u64::MAX - 8, 24), 0);
+        assert_eq!(m.version_of(u64::MAX, u64::MAX), 0);
     }
 }

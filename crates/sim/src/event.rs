@@ -6,7 +6,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event payload tagged with its due time and a tiebreak sequence number.
 #[derive(Debug)]
@@ -39,6 +39,14 @@ impl<E> Ord for Scheduled<E> {
 
 /// A discrete-event priority queue.
 ///
+/// Events live in one of two lanes. A push due no earlier than the last
+/// event of the sorted FIFO *lane* is appended there in O(1); any other
+/// push goes to a binary heap. Both lanes are ordered by `(time, seq)`, so
+/// popping the smaller of the two fronts yields exactly the order a single
+/// heap would. The split keeps a long pre-submitted arrival stream — which
+/// arrives in time order — out of the heap that in-flight events sift
+/// through.
+///
 /// # Examples
 ///
 /// ```
@@ -52,6 +60,7 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    lane: VecDeque<Scheduled<E>>,
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
@@ -65,60 +74,85 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `n` events before the backing
-    /// heap reallocates. Sizing the heap to a rung's expected in-flight
+    /// Creates an empty queue with room for `n` events before either lane
+    /// reallocates. Sizing the queue to a rung's expected in-flight
     /// population up front keeps the driver loop allocation-free.
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
+            lane: VecDeque::with_capacity(n),
             heap: BinaryHeap::with_capacity(n),
             next_seq: 0,
         }
     }
 
-    /// Empties the queue and resets the tiebreak sequence, keeping the
-    /// heap's backing allocation so the queue can be reused for another
+    /// Empties the queue and resets the tiebreak sequence, keeping both
+    /// lanes' backing allocations so the queue can be reused for another
     /// run without rebuilding its storage.
     pub fn clear(&mut self) {
+        self.lane.clear();
         self.heap.clear();
         self.next_seq = 0;
     }
 
-    /// Number of events the backing heap can hold without reallocating.
+    /// Number of events the queue can hold without reallocating, whichever
+    /// lane they land in.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.lane.capacity().min(self.heap.capacity())
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
     pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        let ev = Scheduled { at, seq, payload };
+        // `seq` grows with every push, so an append due no earlier than the
+        // lane's back keeps the lane sorted by `(time, seq)`.
+        match self.lane.back() {
+            Some(back) if at < back.at => self.heap.push(ev),
+            _ => self.lane.push_back(ev),
+        }
+    }
+
+    /// Whether the earliest event is the lane's front. `Scheduled`'s
+    /// ordering is inverted for the max-heap, so "greater" means earlier.
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => l > h,
+            (l, _) => l.is_some(),
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
+        let s = if self.lane_first() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        s.map(|s| (s.at, s.payload))
     }
 
     /// The due time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        let s = if self.lane_first() {
+            self.lane.front()
+        } else {
+            self.heap.peek()
+        };
+        s.map(|s| s.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -293,6 +327,82 @@ mod tests {
                 let (a, b) = (fresh.pop(), reused.pop());
                 assert_eq!(a, b, "round {round}: divergent pop");
                 if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_lane_queue_matches_a_single_heap() {
+        // Property loop: each round opens with a monotone bulk prefix (the
+        // pre-submitted arrival stream that fills the FIFO lane), then mixes
+        // out-of-order pushes, equal-time ties, pops, peeks and length
+        // checks, and a quarter of the rounds are abandoned mid-stream to
+        // the next round's clear(). Every observation must match a
+        // reference heap keyed on `(Reverse(time), Reverse(seq))`; each
+        // payload is its push's sequence number.
+        use std::cmp::Reverse;
+        let mut rng = crate::SplitMix64::new(0x2_1a4e);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for round in 0..300 {
+            let mut reference: BinaryHeap<(Reverse<SimTime>, Reverse<u64>)> = BinaryHeap::new();
+            q.clear();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut push = |q: &mut EventQueue<u64>, reference: &mut BinaryHeap<_>, t: u64| {
+                let at = SimTime::from_nanos(t);
+                q.push(at, seq);
+                reference.push((Reverse(at), Reverse(seq)));
+                seq += 1;
+            };
+            let bulk = (rng.next_u64() % 40) as usize;
+            let mut t = 0;
+            for _ in 0..bulk {
+                t += rng.next_u64() % 3; // zero steps make equal-time ties
+                push(&mut q, &mut reference, t);
+            }
+            for step in 0..(rng.next_u64() % 200) {
+                match rng.next_u64() % 8 {
+                    0..=2 => {
+                        // Out-of-order or tied relative to the lane's back:
+                        // anything from the current clock on.
+                        let t = now + rng.next_u64() % 16;
+                        push(&mut q, &mut reference, t);
+                    }
+                    3 => {
+                        let t = now + rng.next_u64() % 2;
+                        for _ in 0..(rng.next_u64() % 5) {
+                            push(&mut q, &mut reference, t);
+                        }
+                    }
+                    4..=5 => {
+                        let want = reference.pop().map(|(Reverse(at), Reverse(p))| (at, p));
+                        let got = q.pop();
+                        assert_eq!(got, want, "round {round} step {step}: pop");
+                        if let Some((at, _)) = got {
+                            now = at.as_picos() / 1000;
+                        }
+                    }
+                    6 => {
+                        let want = reference.peek().map(|&(Reverse(at), _)| at);
+                        assert_eq!(q.peek_time(), want, "round {round} step {step}: peek");
+                    }
+                    _ => {
+                        assert_eq!(q.len(), reference.len(), "round {round} step {step}: len");
+                        assert_eq!(q.is_empty(), reference.is_empty());
+                    }
+                }
+            }
+            if rng.next_u64().is_multiple_of(4) {
+                // Abandon the round mid-stream: clear() must forget both lanes.
+                continue;
+            }
+            loop {
+                let want = reference.pop().map(|(Reverse(at), Reverse(p))| (at, p));
+                let got = q.pop();
+                assert_eq!(got, want, "round {round}: drain");
+                if got.is_none() {
                     break;
                 }
             }

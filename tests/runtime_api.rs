@@ -323,6 +323,48 @@ fn cache_invalidation_prevents_stale_reads() {
     assert_eq!(rep.faulted, 0);
 }
 
+/// A start pointer within one node window of `u64::MAX` has a window
+/// range that wraps. With the front-end cache on, such a request must
+/// fault-complete exactly as it does with the cache off: the wrapped range
+/// counts as a miss, never as a hit on an empty line set, and the probe
+/// must not overflow.
+#[test]
+fn wrapping_window_faults_with_or_without_cache() {
+    let run = |cache: CacheConfig| {
+        let (mut runtime, map) = PulseBuilder::new()
+            .nodes(2)
+            .cache(cache)
+            .build_with(|ctx| {
+                let pairs: Vec<(u64, u64)> = (0..64).map(|k| (k, k + 1)).collect();
+                pulse::ds::HashMapDs::build(ctx, 4, &pairs)
+            })
+            .unwrap();
+        let offloaded = Offloaded::compile(map, &DispatchEngine::default()).unwrap();
+        let mut req = offloaded.request(7).unwrap();
+        req.traversals[0].start = StartPtr::Fixed(u64::MAX - 8);
+        let ticket = runtime.submit(req).unwrap();
+        let done = runtime.poll();
+        assert_eq!(done.len(), 1, "must complete, not hang");
+        assert!(ticket.matches(&done[0]));
+        assert!(!done[0].ok, "a wrapping window must fault");
+        let report = runtime.report();
+        assert_eq!((report.completed, report.faulted), (0, 1));
+        runtime
+            .cluster()
+            .frontends()
+            .iter()
+            .filter_map(|fe| fe.cache())
+            .map(|c| c.stats().hits)
+            .sum::<u64>()
+    };
+    assert_eq!(run(CacheConfig::disabled()), 0);
+    assert_eq!(
+        run(CacheConfig::sized(1 << 20)),
+        0,
+        "a wrapped range must never hit"
+    );
+}
+
 /// The prefix-walk fast path is actually fast: repeating a traversal whose
 /// cells are now cached completes with strictly lower latency than its
 /// cold first run (hops at DRAM-hit cost instead of rack round trips).
