@@ -11,9 +11,13 @@
 //! identical deployment. The sustained-load headline
 //! ([`SweepReport::max_load_under_p99`]) only counts rungs whose goodput
 //! actually kept up with the offered load. The paper's figure claims are
-//! asserted on this path by the root package's `tests/paper_claims.rs`.
+//! asserted on this path by the root package's `tests/paper_claims.rs`;
+//! the CI ladder's curve table lives in [`ci`], and the root package's
+//! `tests/sweep_invariants.rs` asserts the sweep's claims on it.
 
 #![warn(missing_docs)]
+
+pub mod ci;
 
 use pulse::{AppSpec, RunCounters, YcsbDriver};
 use pulse_core::{Phase, PhaseAttribution, PHASES};
@@ -961,9 +965,8 @@ mod tests {
 
     /// The emitter, byte for byte: every key, its order and its number
     /// format, on a fully populated point (ISA-v2 trailer and phase object
-    /// present) and on a default one (both absent). CI's python gates and
-    /// `ci/check_trace.py` read these keys; the golden ladder pins the
-    /// default form.
+    /// present) and on a default one (both absent). `ci/check_trace.py`
+    /// reads these keys; the golden ladder pins the default form.
     #[test]
     fn sweep_json_is_byte_exact() {
         let full = SweepPoint {
@@ -1102,7 +1105,7 @@ mod tests {
 
     /// Both factories build and execute a rung end-to-end for every
     /// application family (tiny sizes; this is a wiring test, the real
-    /// ladders run in `examples/latency_sweep.rs`).
+    /// ladders run on the [`ci`] table).
     #[test]
     fn app_factories_execute_a_rung() {
         for kind in [

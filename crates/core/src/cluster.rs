@@ -30,8 +30,7 @@ use pulse_net::{
     PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
-    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, LatencySummary, SerialResource, SimTime,
-    SplitMix64,
+    DispatchConfig, Driver, LatencyHistogram, LatencySummary, SerialResource, SimTime, SplitMix64,
 };
 use pulse_trace::{PhaseAttribution, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
@@ -597,11 +596,6 @@ impl PulseCluster {
         })
     }
 
-    /// Gives the memory back (e.g. to run another system on the same data).
-    pub fn into_memory(self) -> ClusterMemory {
-        self.mem
-    }
-
     /// Read-only view of the rack memory.
     pub fn memory(&self) -> &ClusterMemory {
         &self.mem
@@ -632,15 +626,6 @@ impl PulseCluster {
     /// Per-CPU-node link views (tx/rx byte counters), indexed by `CpuId`.
     pub fn cpu_links(&self) -> Vec<&Link> {
         self.frontends.iter().map(CpuFrontEnd::link).collect()
-    }
-
-    /// Per-CPU-node dispatch-engine views (ops booked, utilization),
-    /// indexed by `CpuId`.
-    pub fn dispatch_engines(&self) -> Vec<&CpuDispatch> {
-        self.frontends
-            .iter()
-            .map(CpuFrontEnd::dispatch_engine)
-            .collect()
     }
 
     /// Mints the identity the next submission will carry: the configured

@@ -91,11 +91,6 @@ impl Switch {
         }
     }
 
-    /// Replaces the global table (memory-layout changes between experiments).
-    pub fn set_table(&mut self, table: GlobalRangeMap) {
-        self.table = table;
-    }
-
     /// The routing decision for `pkt` — a pure function, no timing.
     ///
     /// * In-flight iterator packets route by `cur_ptr` through the global
@@ -158,11 +153,6 @@ impl Switch {
     /// Bytes moved out of each egress port so far.
     pub fn port_bytes(&self, ep: Endpoint) -> u64 {
         self.ports.get(&ep).map_or(0, |p| p.bytes_moved())
-    }
-
-    /// Number of entries in the global table.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
     }
 }
 

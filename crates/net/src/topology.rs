@@ -95,12 +95,31 @@ impl TopologySpec {
         !matches!(self, TopologySpec::Flat)
     }
 
+    /// Checks that every switch count is positive.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message when a switch count parameter is zero.
+    pub fn validate(self) -> Result<(), String> {
+        let zero = match self {
+            TopologySpec::Flat => false,
+            TopologySpec::Tor { racks } => racks == 0,
+            TopologySpec::LeafSpine { leaves, spines } => leaves == 0 || spines == 0,
+            TopologySpec::Ring { switches } => switches == 0,
+        };
+        if zero {
+            return Err(format!("topology {self:?} has a zero switch count"));
+        }
+        Ok(())
+    }
+
     /// Expands the spec into a concrete topology over `cpus` CPU nodes and
     /// `mems` memory nodes.
     ///
     /// # Panics
     ///
-    /// Panics if a switch count parameter is zero.
+    /// Panics if a switch count parameter is zero; see
+    /// [`TopologySpec::validate`].
     pub fn build(self, cpus: usize, mems: usize) -> RackTopology {
         let roster: Vec<Endpoint> = (0..cpus)
             .map(Endpoint::Cpu)

@@ -55,23 +55,17 @@
 //!   nonzero. These two land in `BENCH_spec_sweep.json`, keeping the
 //!   default `BENCH_sweep.json` byte-identical to the pinned golden.
 //!
-//! Each curve is one table row built by one of two factories:
+//! The curve table is `pulse_bench::ci::ci_curves`, shared with
+//! `tests/sweep_invariants.rs`: each curve is one row built by
 //! `pulse_bench::rack_factory(builder, app, requests)` for the pulse rack
-//! and `pulse_bench::baseline_factory(builder, kind, app, requests)` for
-//! the RPC and swap baselines. The `PulseBuilder` carries the curve's
-//! axes (memory nodes, cache, topology, replication, faults, the ISA-v2
-//! switches; a baseline's client count is its `window`) and `AppKind`
-//! names the deployment, so a curve differs from its neighbours in
-//! exactly the builder calls it adds.
-//!
-//! Every engine runs the same contended dispatch model: each CPU node's
-//! issue path is a serial engine (`DISPATCH_OCCUPANCY` per packet on
-//! `DISPATCH_CONTEXTS` contexts), so CPU-side queueing — the effect the
-//! extended evaluation blames for the RPC baseline's collapse — shows up
-//! in every curve instead of being assumed away. The "sustained load"
-//! headline counts only rungs whose goodput kept up with the offered load
-//! (within `pulse_bench::GOODPUT_TOLERANCE`), reporting *achieved*, not
-//! offered, kops.
+//! or `pulse_bench::baseline_factory(builder, kind, app, requests)` for the
+//! RPC and swap baselines. Every engine runs the same contended dispatch
+//! model (`ci::DISPATCH_OCCUPANCY` per packet on `ci::DISPATCH_CONTEXTS`
+//! contexts), so CPU-side queueing — the effect the extended evaluation
+//! blames for the RPC baseline's collapse — shows up in every curve. The
+//! "sustained load" headline counts only rungs whose goodput kept up with
+//! the offered load (within `pulse_bench::GOODPUT_TOLERANCE`), reporting
+//! *achieved*, not offered, kops.
 //!
 //! ```sh
 //! cargo run --release --example latency_sweep
@@ -88,8 +82,12 @@
 //! The run writes the seventeen default curves to `BENCH_sweep.json`, the
 //! two ISA-v2 curves to `BENCH_spec_sweep.json`, and the simulator's own
 //! speed (sim-ops/sec per curve, wall-clock per rung) to
-//! `BENCH_simspeed.json`; CI greps all three files and checks the
-//! cache-hit-rate, link-utilization, and ISA-v2 invariants.
+//! `BENCH_simspeed.json`, and prints each curve and the sweep's headline
+//! comparisons. It asserts nothing about the results: on the CI ladder
+//! (`--requests 300 --loads 100,400,800`) `tests/sweep_invariants.rs`
+//! asserts the sweep's claims and byte-compares both sweep documents
+//! against their goldens, and CI `cmp`s the files this run writes against
+//! the same goldens.
 //!
 //! `--trace <path>` additionally runs one fully-traced rung *after* the
 //! sweep (tracing stays off in every ladder curve, so `BENCH_sweep.json`
@@ -99,70 +97,16 @@
 //! `BENCH_traced_sweep.json` carrying the per-phase latency attribution
 //! (`"phase"` objects) that CI's trace gate validates.
 
-use pulse::baselines::{RpcConfig, SwapConfig};
-use pulse::sim::SimTime;
 use pulse::workloads::Distribution;
-use pulse::{
-    BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent, FaultKind,
-    Phase, PulseBuilder, RunCounters, TopologySpec, TraceConfig, YcsbWorkload,
+use pulse::{Engine, Phase, RunCounters, TraceConfig};
+use pulse_bench::ci::{
+    self, ci_curves, CPUS, CRASH_AT, CRASH_NODES, DISPATCH_CONTEXTS, DISPATCH_OCCUPANCY,
+    FABRIC_NODES, FABRIC_TOPOLOGY, GRID_CACHE_BYTES, GRID_THETAS_MILLI, NODES, SEED, SLO_P99_US,
 };
-use pulse_bench::{
-    baseline_factory, rack_factory, simspeed_json, sweep, sweep_json, sweep_par_with, AppKind,
-    CurveFactory, CurveSpec, SweepPoint, SweepReport, DEFAULT_GRANULARITY,
-};
-
-const NODES: usize = 2;
-const CPUS: usize = 2;
-const BASELINE_CLIENTS: usize = 16;
-const SEED: u64 = 42;
-/// Memory nodes in the multi-rack incast deployment (two per leaf).
-const FABRIC_NODES: usize = 4;
-/// The routed geometry of the incast curves.
-const FABRIC_TOPOLOGY: TopologySpec = TopologySpec::LeafSpine {
-    leaves: 2,
-    spines: 2,
-};
-/// The SLO used for the "sustained load" headline (µs).
-const SLO_P99_US: f64 = 150.0;
-/// Dispatch-engine service time per issued packet.
-const DISPATCH_OCCUPANCY: SimTime = SimTime::from_nanos(1_000);
-/// Dispatch contexts per CPU node.
-const DISPATCH_CONTEXTS: usize = 2;
-/// Front-end cache capacity for the `+cache` curves (per CPU node).
-const CACHE_BYTES: u64 = 4 << 20;
-/// Memory nodes in the crash curves: four, so a two-way-replicated rack
-/// that loses one node still has spare nodes to rebuild onto.
-const CRASH_NODES: usize = 4;
-/// When node 0 dies on every crash rung — early enough that nearly the
-/// whole rung runs degraded at every offered load on the ladder.
-const CRASH_AT: SimTime = SimTime::from_micros(30);
-/// Batch window of the ISA-v2 curves: up to this many consecutive
-/// locally-translating hops fuse into one membus transaction.
-const SPEC_BATCH_HOPS: u32 = 4;
-/// Labels of the ISA-v2 curves, swept on the same ladder but written to
-/// `BENCH_spec_sweep.json` so the default `BENCH_sweep.json` stays
-/// byte-identical to the pinned golden.
-const SPEC_LABELS: [&str; 2] = ["pulse-spec", "pulse-spec-ycsb-a"];
-
-/// The crash curves' fault schedule: node 0 fail-stops at [`CRASH_AT`] and
-/// never comes back (the re-replication engine, not a repair, restores
-/// redundancy).
-fn crash_schedule() -> Vec<FaultEvent> {
-    vec![FaultEvent::new(CRASH_AT, FaultKind::MemCrash(0))]
-}
-
-/// The contended-dispatch RPC baseline every RPC curve starts from; the
-/// cached and routed variants override one field each via struct update.
-fn rpc_cfg(dispatch: DispatchConfig) -> RpcConfig {
-    RpcConfig {
-        dispatch,
-        ..RpcConfig::rpc()
-    }
-}
+use pulse_bench::{simspeed_json, sweep_json, AppKind, SweepPoint, SweepReport};
 
 fn main() -> Result<(), pulse::Error> {
     let (loads_kops, requests, workers, trace_path) = parse_args();
-    let dispatch = DispatchConfig::contended(DISPATCH_OCCUPANCY, DISPATCH_CONTEXTS);
 
     println!("latency-vs-load sweep — {NODES} memory nodes, {CPUS} CPU nodes");
     println!("open-loop Poisson arrivals (seed {SEED}), {requests} requests per rung");
@@ -170,209 +114,11 @@ fn main() -> Result<(), pulse::Error> {
         "dispatch engine: {:.1} us occupancy x {} contexts = {:.0} kops/CPU saturation",
         DISPATCH_OCCUPANCY.as_micros_f64(),
         DISPATCH_CONTEXTS,
-        dispatch.saturation_rate() / 1e3
+        ci::dispatch().saturation_rate() / 1e3
     );
     println!("parallel sweep harness: {workers} worker threads\n");
 
-    // Every curve is one `(label, factory)` row; the shared ladder and
-    // seed are applied once below, so adding a curve is a one-line entry
-    // instead of a copy-paste block. Order matters: the assertions after
-    // the sweep index `curves[0]` (pulse) and `curves[1]` (RPC),
-    // `sweep_par_with` stitches results back in exactly this order, and
-    // the `SPEC_LABELS` curves must stay last (the split below peels them
-    // off the tail into their own JSON document).
-    //
-    // Every pulse curve starts from `rack` and every baseline curve from
-    // `clients`; each variant below adds one axis to that wiring.
-    let rack = |nodes| {
-        PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(CPUS)
-            .dispatch(dispatch)
-            .granularity(DEFAULT_GRANULARITY)
-    };
-    let clients = |nodes| {
-        PulseBuilder::new()
-            .nodes(nodes)
-            .window(BASELINE_CLIENTS)
-            .granularity(DEFAULT_GRANULARITY)
-    };
-    let rpc = BaselineKind::Rpc(rpc_cfg(dispatch));
-    let webservice = AppKind::WebService(Distribution::Zipfian);
-    let ycsb_a = AppKind::Ycsb(YcsbWorkload::A);
-    let cached = || rack(NODES).cache(CacheConfig::sized(CACHE_BYTES));
-    let spec = || rack(NODES).speculation(true).batching(SPEC_BATCH_HOPS);
-    let table: Vec<(&str, CurveFactory)> = vec![
-        (
-            "pulse",
-            Box::new(rack_factory(rack(NODES), webservice, requests)),
-        ),
-        (
-            "RPC",
-            Box::new(baseline_factory(
-                clients(NODES),
-                rpc.clone(),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "Cache-based",
-            Box::new(baseline_factory(
-                clients(NODES),
-                BaselineKind::SwapCache(SwapConfig {
-                    cache_bytes: 8 << 20,
-                    dispatch,
-                    ..SwapConfig::default()
-                }),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "pulse-wiredtiger",
-            Box::new(rack_factory(rack(NODES), AppKind::WiredTiger, requests)),
-        ),
-        (
-            "pulse-btrdb",
-            Box::new(rack_factory(rack(NODES), AppKind::Btrdb(4), requests)),
-        ),
-        (
-            "pulse-ycsb-a",
-            Box::new(rack_factory(rack(NODES), ycsb_a, requests)),
-        ),
-        (
-            "pulse-ycsb-b",
-            Box::new(rack_factory(
-                rack(NODES),
-                AppKind::Ycsb(YcsbWorkload::B),
-                requests,
-            )),
-        ),
-        (
-            "pulse-ycsb-e",
-            Box::new(rack_factory(
-                rack(NODES),
-                AppKind::Ycsb(YcsbWorkload::E),
-                requests,
-            )),
-        ),
-        (
-            "RPC-ycsb-a",
-            Box::new(baseline_factory(
-                clients(NODES),
-                rpc.clone(),
-                ycsb_a,
-                requests,
-            )),
-        ),
-        // The cache-sensitivity curves: the same skewed WebService
-        // deployment with a coherent front-end cache at every CPU node
-        // (pulse and RPC), plus the write-heavy YCSB-A mix with the same
-        // cache — where invalidation-on-update collapses the benefit.
-        (
-            "pulse+cache",
-            Box::new(rack_factory(cached(), webservice, requests)),
-        ),
-        (
-            "RPC+cache",
-            Box::new(baseline_factory(
-                clients(NODES),
-                BaselineKind::Rpc(RpcConfig {
-                    cache: CacheConfig::sized(CACHE_BYTES),
-                    ..rpc_cfg(dispatch)
-                }),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "pulse-ycsb-a+cache",
-            Box::new(rack_factory(cached(), ycsb_a, requests)),
-        ),
-        // The multi-rack incast comparison: identical Zipf-skewed
-        // WebService deployments on a routed 2-leaf/2-spine fabric.
-        (
-            "pulse-leafspine-hot",
-            Box::new(rack_factory(
-                rack(FABRIC_NODES).topology(FABRIC_TOPOLOGY),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "RPC-leafspine-hot",
-            Box::new(baseline_factory(
-                clients(FABRIC_NODES),
-                BaselineKind::Rpc(RpcConfig {
-                    topology: FABRIC_TOPOLOGY,
-                    ..rpc_cfg(dispatch)
-                }),
-                webservice,
-                requests,
-            )),
-        ),
-        // The SLO-under-failure comparison: identical flat deployments,
-        // node 0 fail-stops 30 us into every rung. One axis varies per
-        // curve: replication off, replication on, and the RPC baseline
-        // with the same replica rule (its analytic fail-stop model:
-        // failover redirects plus one timeout round trip, no rebuild
-        // traffic).
-        (
-            "pulse-crash",
-            Box::new(rack_factory(
-                rack(CRASH_NODES).faults(crash_schedule()),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "pulse-crash-replicated",
-            Box::new(rack_factory(
-                rack(CRASH_NODES).replication(2).faults(crash_schedule()),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            "RPC-crash",
-            Box::new(baseline_factory(
-                clients(CRASH_NODES).replication(2),
-                BaselineKind::Rpc(RpcConfig {
-                    faults: crash_schedule(),
-                    ..RpcConfig::rpc()
-                }),
-                webservice,
-                requests,
-            )),
-        ),
-        // The ISA-v2 curves (`SPEC_LABELS`): the identical read-heavy
-        // WebService deployment with speculation, batching, and coalescing
-        // on, and the YCSB-A mix with speculation+batching — where
-        // concurrent updates invalidate speculated windows, so the
-        // mis-speculation tax is visible instead of assumed away.
-        (
-            SPEC_LABELS[0],
-            Box::new(rack_factory(
-                spec().coalescing(CoalesceConfig {
-                    enabled: true,
-                    ..Default::default()
-                }),
-                webservice,
-                requests,
-            )),
-        ),
-        (
-            SPEC_LABELS[1],
-            Box::new(rack_factory(spec(), ycsb_a, requests)),
-        ),
-    ];
-    let specs: Vec<CurveSpec> = table
-        .into_iter()
-        .map(|(label, make)| CurveSpec::new(label, &loads_kops, SEED, make))
-        .collect();
-
-    let par = sweep_par_with(&specs, workers, |timing| {
+    let run = ci_curves(&loads_kops, requests).sweep(workers, |timing| {
         println!(
             "  [done] {:<20} {:>9.0} ms  ({:.2e} sim-ops/s)",
             timing.label,
@@ -382,196 +128,76 @@ fn main() -> Result<(), pulse::Error> {
     })?;
     println!(
         "\nall {} curves in {:.0} ms wall-clock on {} workers\n",
-        par.curves.len(),
-        par.total_wall_ms,
-        par.workers
+        run.pool.curves.len(),
+        run.pool.total_wall_ms,
+        run.pool.workers
     );
-    let speed_json = simspeed_json(&par);
-    let mut curves = par.curves;
-    // Peel the ISA-v2 curves off the table's tail: they swept the same
-    // ladder, but they land in their own document (`BENCH_spec_sweep.json`)
-    // so the default `BENCH_sweep.json` stays byte-identical to the pinned
-    // golden with the latency-hiding switches off.
-    let spec_curves = curves.split_off(curves.len() - SPEC_LABELS.len());
-    assert!(
-        spec_curves.iter().map(|c| c.label.as_str()).eq(SPEC_LABELS),
-        "the ISA-v2 curves must be the table's tail"
-    );
-
-    for curve in curves.iter().chain(&spec_curves) {
-        print_curve(curve);
-    }
-
-    // The WebService curves are the paper's direct comparison: their p99
-    // must not regress as load rises (queueing only accumulates).
-    for curve in curves.iter().take(2) {
-        let monotone = curve
-            .points
-            .windows(2)
-            .all(|w| w[1].p99_us >= w[0].p99_us * 0.999);
-        println!(
-            "{}: p99 monotone non-decreasing with load: {}",
-            curve.label,
-            if monotone { "yes" } else { "NO" }
-        );
-        assert!(monotone, "{}: p99 regressed as load rose", curve.label);
-    }
-
-    // The write path must actually run: every mixed curve needs nonzero
-    // update goodput, and the hash-map mixes must surface their seqlock
-    // retries (racing is the point of YCSB-A at load).
-    for label in ["pulse-ycsb-a", "pulse-ycsb-b", "pulse-ycsb-e", "RPC-ycsb-a"] {
-        let curve = curves
+    let curves = run.default_curves();
+    let spec_curves = run.spec_curves();
+    let curve = |label: &str| {
+        run.pool
+            .curves
             .iter()
             .find(|c| c.label == label)
-            .expect("mixed curve present");
-        assert!(
-            curve.points.iter().any(|p| p.update_goodput_kops > 0.0),
-            "{label}: update goodput must be nonzero somewhere on the ladder"
-        );
+            .unwrap_or_else(|| panic!("the table has a {label} curve"))
+    };
+    let sustained = |label: &str| curve(label).max_load_under_p99(SLO_P99_US);
+
+    for c in &run.pool.curves {
+        print_curve(c);
     }
-    let ycsb_a = curves
-        .iter()
-        .find(|c| c.label == "pulse-ycsb-a")
-        .expect("present");
-    let total_retries = total(ycsb_a, |c| c.retries);
+
     println!(
         "pulse-ycsb-a: {} seqlock retries across the ladder",
-        total_retries
+        total(curve("pulse-ycsb-a"), |c| c.retries)
     );
-    assert!(
-        total_retries > 0,
-        "a zipfian 50%-update mix under load must race at least once"
-    );
-
-    // The cache claims, measured: every cache-disabled curve reports a hit
-    // rate of exactly zero; the skewed read-only pulse+cache curve hits on
-    // every rung; and the write-heavy mix ages lines out fast enough that
-    // its hit rate lands strictly below the read-only one — the
-    // "caches can't save pointer-traversals" framing, end to end.
     let hit = |label: &str| {
-        let c = curves
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("{label} curve present"));
-        c.points
+        curve(label)
+            .points
             .iter()
             .map(|p| p.counters.cache_hit_rate)
             .fold(f64::NAN, f64::max)
     };
-    for curve in curves.iter().chain(&spec_curves) {
-        if !curve.label.contains("+cache") {
-            assert!(
-                curve
-                    .points
-                    .iter()
-                    .all(|p| p.counters.cache_hit_rate == 0.0),
-                "{}: cache-disabled curves must report exactly 0.0",
-                curve.label
-            );
-        }
-    }
-
-    // The ISA-v2 negative space: every default curve runs with
-    // speculation, batching, and coalescing off, so it must report exactly
-    // zero ISA-v2 counters — the latency-hiding machinery cannot leak into
-    // the golden-trace path.
-    for curve in &curves {
-        assert!(
-            curve.points.iter().all(|p| p.counters.mis_speculations == 0
-                && p.counters.batched_hops == 0
-                && p.counters.coalesced_prefix_hops == 0),
-            "{}: spec-off curves must carry zero ISA-v2 metrics",
-            curve.label
-        );
-    }
-    let read_hit = hit("pulse+cache");
-    let rpc_hit = hit("RPC+cache");
-    let mixed_hit = hit("pulse-ycsb-a+cache");
     println!(
-        "front-end cache hit rates: pulse+cache {read_hit:.3}, \
-         RPC+cache {rpc_hit:.3}, pulse-ycsb-a+cache {mixed_hit:.3}"
-    );
-    assert!(read_hit > 0.0, "skewed reads must hit the front-end cache");
-    assert!(rpc_hit > 0.0, "the RPC front-end cache must hit too");
-    assert!(
-        mixed_hit < read_hit,
-        "update invalidation must erode the write-heavy mix's hit rate \
-         ({mixed_hit} vs read-only {read_hit})"
+        "front-end cache hit rates: pulse+cache {:.3}, RPC+cache {:.3}, \
+         pulse-ycsb-a+cache {:.3}",
+        hit("pulse+cache"),
+        hit("RPC+cache"),
+        hit("pulse-ycsb-a+cache")
     );
 
-    // Cache-size × Zipf-θ sensitivity (single rung per cell): hit rate
-    // grows with skew and with capacity — where it stays low, caching
-    // cannot help no matter the budget.
     println!("\ncache-size x zipf-theta hit-rate grid (pulse, one rung):");
-    let thetas = [200u16, 990u16];
-    let sizes = [64 << 10u64, CACHE_BYTES];
-    let mut grid = Vec::new();
-    for &milli in &thetas {
-        let mut row = Vec::new();
-        for &bytes in &sizes {
-            let make = rack_factory(
-                rack(NODES).cache(CacheConfig::sized(bytes)),
-                AppKind::WebService(Distribution::ZipfianTheta { milli }),
-                requests.min(500),
-            );
-            let cell = sweep("grid", &[loads_kops[0]], SEED, make)?;
-            row.push(cell.points[0].counters.cache_hit_rate);
-        }
-        grid.push(row);
-    }
-    println!("{:>12} {:>10} {:>10}", "theta \\ size", "64KiB", "4MiB");
-    for (ti, row) in grid.iter().enumerate() {
+    let grid = ci::cache_grid(loads_kops[0], requests)?;
+    println!(
+        "{:>12} {:>10} {:>10}",
+        "theta \\ size",
+        format!("{}KiB", GRID_CACHE_BYTES[0] >> 10),
+        format!("{}MiB", GRID_CACHE_BYTES[1] >> 20)
+    );
+    for (milli, row) in GRID_THETAS_MILLI.iter().zip(&grid) {
         println!(
             "{:>12.2} {:>10.3} {:>10.3}",
-            thetas[ti] as f64 / 1000.0,
+            f64::from(*milli) / 1000.0,
             row[0],
             row[1]
         );
     }
-    assert!(
-        grid[1][1] > grid[0][1],
-        "at equal capacity, higher skew must hit more: {grid:?}"
-    );
-    assert!(
-        grid[1][1] >= grid[1][0],
-        "at equal skew, more capacity must not hit less: {grid:?}"
-    );
 
     println!("\nsustained load at p99 <= {SLO_P99_US} us (achieved goodput, kops):");
-    for curve in curves.iter().chain(&spec_curves) {
+    for c in &run.pool.curves {
         println!(
             "  {:>18}: {}",
-            curve.label,
-            fmt_kops(curve.max_load_under_p99(SLO_P99_US)),
-        );
-    }
-    let pulse_sustained = curves[0].max_load_under_p99(SLO_P99_US);
-    let rpc_sustained = curves[1].max_load_under_p99(SLO_P99_US);
-    if let (Some(p), Some(r)) = (pulse_sustained, rpc_sustained) {
-        // 2% grace: both numbers are now achieved goodput, so equal-rate
-        // rungs can differ by completion-tail noise.
-        assert!(
-            p >= r * 0.98,
-            "pulse should sustain at least the RPC load at equal p99 ({p} vs {r})"
+            c.label,
+            fmt_kops(c.max_load_under_p99(SLO_P99_US))
         );
     }
 
-    // The ISA-v2 headline, measured: with speculation, batching, and
-    // coalescing on, the read-heavy rack must move the knee — strictly
-    // higher sustained load at the same SLO on the same ladder — and each
-    // mechanism must actually fire. On the 50%-update mix the speculation
-    // is priced honestly: concurrent updates bump granule versions inside
-    // the speculation window, so `mis_speculations` must be nonzero.
-    let spec = &spec_curves[0];
-    let spec_ycsb = &spec_curves[1];
-    let spec_sustained = spec.max_load_under_p99(SLO_P99_US);
     println!(
         "\nISA v2 — sustained at p99 <= {SLO_P99_US} us: pulse {} vs pulse-spec {}",
-        fmt_kops(pulse_sustained),
-        fmt_kops(spec_sustained),
+        fmt_kops(sustained("pulse")),
+        fmt_kops(sustained("pulse-spec")),
     );
-    for c in [spec, spec_ycsb] {
+    for c in spec_curves {
         println!(
             "  {:>18}: {} batched hops, {} coalesced prefix hops, {} mis-speculations",
             c.label,
@@ -580,162 +206,41 @@ fn main() -> Result<(), pulse::Error> {
             total(c, |c| c.mis_speculations),
         );
     }
-    let (p, s) = (
-        pulse_sustained.expect("pulse sustains some rung"),
-        spec_sustained.expect("pulse-spec sustains some rung"),
+    println!(
+        "skewed-read sustained: pulse {} vs pulse+cache {}",
+        fmt_kops(sustained("pulse")),
+        fmt_kops(sustained("pulse+cache")),
     );
-    assert!(
-        s > p,
-        "ISA v2 must move the read-heavy knee: pulse-spec {s} vs pulse {p} kops"
-    );
-    assert!(
-        total(spec, |c| c.batched_hops) > 0,
-        "same-node hop batching must fuse some hops on the read-heavy curve"
-    );
-    assert!(
-        total(spec, |c| c.coalesced_prefix_hops) > 0,
-        "zipfian duplicates under load must coalesce some prefix hops"
-    );
-    assert!(
-        total(spec_ycsb, |c| c.mis_speculations) > 0,
-        "the 50%-update mix must invalidate some speculated windows"
-    );
-    // Where caching *does* help: on the skewed read-only workload, the
-    // cached rack's sustained-load knee must be at least the plain rack's
-    // (hot hash chains resolve locally instead of crossing the wire).
-    let cached_sustained = curves
-        .iter()
-        .find(|c| c.label == "pulse+cache")
-        .and_then(|c| c.max_load_under_p99(SLO_P99_US));
-    if let (Some(p), Some(pc)) = (pulse_sustained, cached_sustained) {
-        println!("skewed-read sustained: pulse {p:.0} vs pulse+cache {pc:.0} kops");
-        assert!(
-            pc >= p * 0.98,
-            "the front-end cache must not lower the skewed-read knee ({pc} vs {p})"
-        );
-    }
-    // The same comparison on the mixed workload: pulse vs RPC under
-    // YCSB-A, both with real updates in flight.
-    let mixed_pulse = ycsb_a.max_load_under_p99(SLO_P99_US);
-    let mixed_rpc = curves
-        .iter()
-        .find(|c| c.label == "RPC-ycsb-a")
-        .and_then(|c| c.max_load_under_p99(SLO_P99_US));
     println!(
         "mixed YCSB-A sustained: pulse {} vs RPC {}",
-        fmt_kops(mixed_pulse),
-        fmt_kops(mixed_rpc),
+        fmt_kops(sustained("pulse-ycsb-a")),
+        fmt_kops(sustained("RPC-ycsb-a")),
     );
 
-    // The routed-fabric invariants, measured: flat curves carry exactly
-    // zero fabric metrics (no fabric exists to produce them); both routed
-    // curves show real downlink pressure.
-    for curve in curves.iter().chain(&spec_curves) {
-        if !curve.label.contains("leafspine") {
-            assert!(
-                curve
-                    .points
-                    .iter()
-                    .all(|p| p.counters.link_utilization == 0.0 && p.counters.queue_depth == 0),
-                "{}: flat curves must report zero fabric metrics",
-                curve.label
-            );
-        }
-    }
-    let fabric_curve = |label: &str| {
-        curves
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("{label} curve present"))
-    };
-    let pulse_fab = fabric_curve("pulse-leafspine-hot");
-    let rpc_fab = fabric_curve("RPC-leafspine-hot");
-    let peak_util = |c: &SweepReport| {
-        c.points
+    let peak_util = |label: &str| {
+        curve(label)
+            .points
             .iter()
             .map(|p| p.counters.link_utilization)
             .fold(0.0, f64::max)
     };
-    let (pulse_util, rpc_util) = (peak_util(pulse_fab), peak_util(rpc_fab));
     println!(
-        "\nleaf-spine incast — peak CPU-downlink utilization: \
-         pulse {pulse_util:.3} vs RPC {rpc_util:.3}"
+        "\nleaf-spine incast — peak CPU-downlink utilization: pulse {:.3} vs RPC {:.3}",
+        peak_util("pulse-leafspine-hot"),
+        peak_util("RPC-leafspine-hot")
     );
-    assert!(
-        pulse_util > 0.0 && rpc_util > 0.0,
-        "routed curves must price real traffic on the fabric"
-    );
-    // The incast separation itself, rung by rung: bouncing every
-    // cross-node hop through the CPU node keeps RPC's downlink demand at
-    // or above pulse's on every rung (a ladder's top rungs may pin BOTH
-    // links at 1.0, where utilization can no longer separate them), and
-    // strictly above it on at least one pre-saturation rung.
-    let mut strictly_above = false;
-    for (p, r) in pulse_fab.points.iter().zip(&rpc_fab.points) {
-        let offered = p.offered_kops;
-        let (p, r) = (&p.counters, &r.counters);
-        assert!(
-            r.link_utilization >= p.link_utilization,
-            "RPC's CPU bounce must congest the downlink at least as hard as \
-             pulse's chained hops on every rung ({:.3} vs {:.3} at {} kops)",
-            r.link_utilization,
-            p.link_utilization,
-            offered
-        );
-        strictly_above |= r.link_utilization > p.link_utilization;
-    }
-    assert!(
-        strictly_above,
-        "some rung must separate RPC's downlink demand from pulse's \
-         (pulse {pulse_util:.3} vs RPC {rpc_util:.3} at peak)"
-    );
-    let pulse_fab_sustained = pulse_fab.max_load_under_p99(SLO_P99_US);
-    let rpc_fab_sustained = rpc_fab.max_load_under_p99(SLO_P99_US);
     println!(
         "leaf-spine incast sustained at p99 <= {SLO_P99_US} us: pulse {} vs RPC {}",
-        fmt_kops(pulse_fab_sustained),
-        fmt_kops(rpc_fab_sustained),
+        fmt_kops(sustained("pulse-leafspine-hot")),
+        fmt_kops(sustained("RPC-leafspine-hot")),
     );
-    match (pulse_fab_sustained, rpc_fab_sustained) {
-        (Some(p), Some(r)) => assert!(
-            p > r,
-            "chained traversal must beat the CPU bounce on the hot fabric ({p} vs {r})"
-        ),
-        (Some(_), None) => {} // RPC sustained nothing at the SLO: stronger still.
-        _ => panic!("pulse must sustain some load on the routed fabric"),
-    }
 
-    // The SLO-under-failure invariants, measured. First the negative
-    // space: a curve with no fault schedule must never fail over, lose a
-    // request to unavailability, move a rebuild byte, or report a degraded
-    // window — failure accounting leaking into healthy curves would mean
-    // the default path is no longer the golden-trace path.
-    for curve in curves.iter().chain(&spec_curves) {
-        if !curve.label.contains("crash") {
-            assert!(
-                curve.points.iter().all(|p| p.counters.failovers == 0
-                    && p.counters.unavailable_completions == 0
-                    && p.counters.rereplication_bytes == 0
-                    && p.counters.degraded_p99 == SimTime::ZERO),
-                "{}: fault-free curves must carry zero failure metrics",
-                curve.label
-            );
-        }
-    }
-    let crash_curve = |label: &str| {
-        curves
-            .iter()
-            .find(|c| c.label == label)
-            .unwrap_or_else(|| panic!("{label} curve present"))
-    };
-    let bare = crash_curve("pulse-crash");
-    let repl = crash_curve("pulse-crash-replicated");
-    let rpc_crash = crash_curve("RPC-crash");
     println!(
         "\ncrash at {} us, node 0 of {CRASH_NODES} (per-ladder totals):",
         CRASH_AT.as_micros_f64()
     );
-    for c in [bare, repl, rpc_crash] {
+    for label in ["pulse-crash", "pulse-crash-replicated", "RPC-crash"] {
+        let c = curve(label);
         println!(
             "  {:>24}: {:>5} unavailable, {:>6} failovers, {:>9} rebuild bytes, \
              degraded p99 {:.1} us",
@@ -751,59 +256,8 @@ fn main() -> Result<(), pulse::Error> {
                 .as_micros_f64()
         );
     }
-    // Unreplicated: the crash takes data offline, so some requests can
-    // only fault-complete as unavailable — and nothing can be rebuilt.
-    assert!(
-        total(bare, |c| c.unavailable_completions) > 0,
-        "losing the only copy must surface unavailable completions"
-    );
-    assert_eq!(
-        total(bare, |c| c.rereplication_bytes),
-        0,
-        "nothing to rebuild from at replication 1"
-    );
-    // Replicated: every rung finishes every request — zero unavailable —
-    // by re-planning onto survivors and paying real rebuild traffic.
-    assert!(
-        repl.points
-            .iter()
-            .all(|p| p.counters.unavailable_completions == 0),
-        "two-way replication must ride out a single-node crash"
-    );
-    assert!(
-        total(repl, |c| c.failovers) > 0,
-        "riding out the crash requires actual failovers"
-    );
-    assert!(
-        total(repl, |c| c.rereplication_bytes) > 0,
-        "rebuilding lost redundancy must move real bytes"
-    );
-    assert!(
-        repl.points
-            .iter()
-            .any(|p| p.counters.degraded_p99 > SimTime::ZERO),
-        "the degraded window must cover some completions"
-    );
-    // The replicated RPC baseline also stays available, but never
-    // rebuilds — failover is its whole recovery story.
-    assert!(
-        rpc_crash
-            .points
-            .iter()
-            .all(|p| p.counters.unavailable_completions == 0),
-        "replicated RPC must ride out the crash too"
-    );
-    assert!(
-        total(rpc_crash, |c| c.failovers) > 0,
-        "RPC failover must actually trigger"
-    );
-    assert_eq!(
-        total(rpc_crash, |c| c.rereplication_bytes),
-        0,
-        "the RPC baseline has no re-replication engine"
-    );
 
-    let json = sweep_json(&curves);
+    let json = sweep_json(curves);
     std::fs::write("BENCH_sweep.json", &json)
         .map_err(|e| pulse::Error::Config(format!("writing BENCH_sweep.json: {e}")))?;
     println!(
@@ -811,7 +265,7 @@ fn main() -> Result<(), pulse::Error> {
         json.len(),
         curves.len()
     );
-    let spec_json = sweep_json(&spec_curves);
+    let spec_json = sweep_json(spec_curves);
     std::fs::write("BENCH_spec_sweep.json", &spec_json)
         .map_err(|e| pulse::Error::Config(format!("writing BENCH_spec_sweep.json: {e}")))?;
     println!(
@@ -819,6 +273,7 @@ fn main() -> Result<(), pulse::Error> {
         spec_json.len(),
         spec_curves.len()
     );
+    let speed_json = simspeed_json(&run.pool);
     std::fs::write("BENCH_simspeed.json", &speed_json)
         .map_err(|e| pulse::Error::Config(format!("writing BENCH_simspeed.json: {e}")))?;
     println!(
@@ -839,14 +294,9 @@ fn main() -> Result<(), pulse::Error> {
 /// one-curve sweep document (with the `"phase"` attribution object) to
 /// `BENCH_traced_sweep.json`, then prints the per-phase breakdown.
 fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pulse::Error> {
-    let dispatch = DispatchConfig::contended(DISPATCH_OCCUPANCY, DISPATCH_CONTEXTS);
-    let (mut runtime, mut app) = PulseBuilder::new()
-        .nodes(FABRIC_NODES)
-        .cpus(CPUS)
-        .dispatch(dispatch)
+    let (mut runtime, mut app) = ci::rack(FABRIC_NODES)
         .topology(FABRIC_TOPOLOGY)
         .trace(Some(TraceConfig::default()))
-        .granularity(DEFAULT_GRANULARITY)
         .build_with(AppKind::WebService(Distribution::Zipfian).build())?;
     let reqs: Vec<_> = (0..requests).map(|_| app.next_request()).collect();
     let arrivals = pulse::ArrivalProcess::poisson(load_kops * 1e3, SEED);

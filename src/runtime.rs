@@ -299,6 +299,7 @@ impl PulseBuilder {
         if let Err(msg) = self.config.cache.validate() {
             return Err(Error::Config(msg));
         }
+        self.config.topology.validate().map_err(Error::Config)?;
         if self.replication == 0 {
             return Err(Error::Config(
                 "replication factor must be at least 1".into(),
@@ -369,13 +370,20 @@ impl PulseBuilder {
     ///
     /// # Errors
     ///
-    /// As [`PulseBuilder::build_with`] (no TCAM involved).
+    /// As [`PulseBuilder::build_with`] (no TCAM involved), plus
+    /// [`Error::Config`] for a baseline topology with a zero switch count.
     pub fn baseline_with<A>(
         self,
         mut kind: BaselineKind,
         build: impl FnOnce(&mut BuildCtx<'_>) -> Result<A, DsError>,
     ) -> Result<(BaselineEngine, A), Error> {
         let concurrency = self.window;
+        match &kind {
+            BaselineKind::SwapCache(cfg) => cfg.topology,
+            BaselineKind::Rpc(cfg) => cfg.topology,
+        }
+        .validate()
+        .map_err(Error::Config)?;
         // The builder's trace switch applies to baselines too, so one
         // `.trace(..)` call traces whichever engine the comparison builds.
         if self.config.trace.is_some() {

@@ -5,6 +5,7 @@
 //! requests surface as typed errors instead of panics.
 
 use pulse::accel::{AccelConfig, PipelineOrg};
+use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::dispatch::DispatchEngine;
 use pulse::ds::catalog;
 use pulse::sim::SimTime;
@@ -12,8 +13,8 @@ use pulse::workloads::{
     execute_functional, Application, ArrivalProcess, StartPtr, TraversalStage, WebServiceConfig,
 };
 use pulse::{
-    AppRequest, CacheConfig, ClusterConfig, DispatchConfig, Engine, Error, Offloaded,
-    OpenLoopDriver, Placement, PulseBuilder, PulseCluster, RequestError,
+    AppRequest, BaselineKind, CacheConfig, ClusterConfig, DispatchConfig, Engine, Error, Offloaded,
+    OpenLoopDriver, Placement, PulseBuilder, PulseCluster, RequestError, TopologySpec,
 };
 use std::sync::Arc;
 
@@ -627,6 +628,43 @@ fn builder_rejects_invalid_wiring() {
             .build_with(|_| Ok(()))
             .unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{org:?}: {err:?}");
+    }
+    // A fabric with a zero switch count is a typed error on the rack and
+    // on a baseline, not a panic inside the topology builder.
+    let empty_fabrics = [
+        TopologySpec::LeafSpine {
+            leaves: 0,
+            spines: 2,
+        },
+        TopologySpec::LeafSpine {
+            leaves: 2,
+            spines: 0,
+        },
+        TopologySpec::Tor { racks: 0 },
+        TopologySpec::Ring { switches: 0 },
+    ];
+    for topology in empty_fabrics {
+        let err = PulseBuilder::new()
+            .topology(topology)
+            .build_with(|_| Ok(()))
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{topology:?}: {err:?}");
+    }
+    for kind in [
+        BaselineKind::Rpc(RpcConfig {
+            topology: TopologySpec::Ring { switches: 0 },
+            ..RpcConfig::rpc()
+        }),
+        BaselineKind::SwapCache(SwapConfig {
+            topology: TopologySpec::Tor { racks: 0 },
+            ..SwapConfig::default()
+        }),
+    ] {
+        let err = PulseBuilder::new()
+            .baseline_with(kind.clone(), |_| Ok(()))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{kind:?}: {err:?}");
     }
 }
 
