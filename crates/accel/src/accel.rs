@@ -534,7 +534,7 @@ impl Accelerator {
         // the open membus transaction. Each extra hop skips its own TCAM +
         // interconnect trip and is priced as `fused_hop_increment`. Fusion
         // stops at RETURN, the iteration budget, or the first pointer that
-        // leaves this node — so `at_switch` crossing semantics (reroute on
+        // leaves this node — so the switch's crossing semantics (reroute on
         // the packet's own `cur_ptr`) are untouched.
         let mut batch_cost = SimTime::ZERO;
         if self.cfg.batch_hops > 1 {

@@ -320,7 +320,7 @@ fn swap_cache_impl(
     let mut threads = ServerPool::new(cfg.threads);
     // The shared CPU-node front end hosts the admission dispatch engine
     // (the swap system's own page cache stands in for a traversal cache).
-    let mut fe = CpuFrontEnd::new(LinkConfig::default(), cfg.dispatch, CacheConfig::disabled());
+    let mut fe = CpuFrontEnd::new(cfg.dispatch, CacheConfig::disabled());
     let mut fabric = cfg.net.build_fabric(cfg.topology, mem.node_count());
     let routed = fabric.is_some();
     let mut net_bytes = 0u64;
@@ -639,7 +639,7 @@ fn rpc_impl(
     let mut fabric = cfg.net.build_fabric(cfg.topology, nodes);
     // The shared CPU-node front end: dispatch engine plus the optional
     // traversal-cell cache.
-    let mut fe = CpuFrontEnd::new(LinkConfig::default(), cfg.dispatch, cfg.cache);
+    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
     let mut object_cache = (cfg.object_cache_bytes > 0)
         .then(|| LruSet::new((cfg.object_cache_bytes / cfg.object_bytes).max(1) as usize));
     let mut net_bytes = 0u64;

@@ -1,9 +1,10 @@
 //! The CI ladder's curve table: the nineteen curves the latency sweep
-//! writes to `BENCH_sweep.json` and `BENCH_spec_sweep.json`, and the
-//! cache-size × Zipf-θ grid printed beside them. One definition serves
-//! both `examples/latency_sweep.rs`, which writes and prints the
-//! documents, and `tests/sweep_invariants.rs`, which asserts the sweep's
-//! claims and byte-compares both documents against their goldens.
+//! writes to `BENCH_sweep.json` and `BENCH_spec_sweep.json`, the
+//! cache-size × Zipf-θ grid printed beside them, and the traced rung
+//! behind `BENCH_traced_sweep.json`. One definition serves both
+//! `examples/latency_sweep.rs`, which writes and prints the documents,
+//! and `tests/sweep_invariants.rs`, which asserts the sweep's claims and
+//! byte-compares all three documents against their goldens.
 //!
 //! Each curve is one row: a [`rack`] builder for [`rack_factory`], or a
 //! baseline's client wiring for [`baseline_factory`], plus the one axis
@@ -14,14 +15,14 @@
 
 use crate::{
     baseline_factory, rack_factory, sweep, sweep_par_with, AppKind, CurveFactory, CurveSpec,
-    CurveTiming, ParSweepReport, SweepReport, DEFAULT_GRANULARITY,
+    CurveTiming, ParSweepReport, SweepPoint, SweepReport, DEFAULT_GRANULARITY,
 };
 use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::sim::SimTime;
 use pulse::workloads::Distribution;
 use pulse::{
-    BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, FaultEvent, FaultKind, PulseBuilder,
-    TopologySpec, YcsbWorkload,
+    ArrivalProcess, BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent,
+    FaultKind, PulseBuilder, TopologySpec, TraceConfig, YcsbWorkload,
 };
 
 /// Memory nodes in the default rack.
@@ -311,4 +312,33 @@ pub fn cache_grid(load_kops: f64, requests: usize) -> Result<[[f64; 2]; 2], puls
         }
     }
     Ok(grid)
+}
+
+/// The fully-traced rung, run after the sweep so tracing never touches the
+/// ladder: the routed leaf-spine WebService deployment ([`FABRIC_NODES`]
+/// memory nodes on [`FABRIC_TOPOLOGY`]) with span recording on, one
+/// open-loop rung of `requests` requests at `load_kops` and [`SEED`]. It is
+/// the only routed run with tracing on. Returns the one-point
+/// `pulse-leafspine-traced` curve, which carries the per-phase attribution
+/// (`BENCH_traced_sweep.json`), and the Perfetto-loadable Chrome trace.
+///
+/// # Errors
+///
+/// As [`PulseBuilder::build_with`] and
+/// [`Engine::execute_open_loop`].
+pub fn traced_rung(requests: usize, load_kops: f64) -> Result<(SweepReport, String), pulse::Error> {
+    let (mut runtime, mut app) = rack(FABRIC_NODES)
+        .topology(FABRIC_TOPOLOGY)
+        .trace(Some(TraceConfig::default()))
+        .build_with(AppKind::WebService(Distribution::Zipfian).build())?;
+    let reqs: Vec<_> = (0..requests).map(|_| app.next_request()).collect();
+    let rep = runtime.execute_open_loop(&reqs, ArrivalProcess::poisson(load_kops * 1e3, SEED))?;
+    let chrome = runtime
+        .trace_json()
+        .expect("tracing was enabled on this runtime");
+    let curve = SweepReport {
+        label: "pulse-leafspine-traced".into(),
+        points: vec![SweepPoint::from_open_loop(&rep)],
+    };
+    Ok((curve, chrome))
 }

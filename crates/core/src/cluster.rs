@@ -2,9 +2,10 @@
 //! switch + per-memory-node accelerators, executing application requests
 //! end-to-end with full functional fidelity and event-driven timing.
 //!
-//! Every CPU node has its own full-duplex [`Link`] to the switch — the
-//! node's NIC doubles as its issue queue, serializing departures — and its
-//! own request-sequence counter, so a [`RequestId`] `(cpu, seq)` is unique
+//! Every CPU node has its own full-duplex NIC to the switch (priced, like
+//! every hop, by the rack's [`Network`]) — the node's NIC doubles as its
+//! issue queue, serializing departures — and its own request-sequence
+//! counter, so a [`RequestId`] `(cpu, seq)` is unique
 //! rack-wide and every reply routes back to the node that issued the
 //! request. Requests are spread across CPU nodes by a deterministic
 //! [`CpuAssignment`] policy at submit time.
@@ -18,16 +19,15 @@
 //!   back to the *CPU node*, which re-issues them (half a round trip plus
 //!   software overhead more expensive per crossing).
 
-use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator};
+use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator, PipelineOrg};
 use pulse_frontend::{prefix_walk, CacheConfig, CoalesceConfig, CpuFrontEnd, Role, WalkOutcome};
 use pulse_mem::{
     CapacityExceeded, ClusterMemory, FaultEvent, FaultKind, GlobalRangeMap, NodeId, Perms,
     RangeTable,
 };
 use pulse_net::{
-    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Link, LinkConfig, Packet,
-    RequestId, Route, Switch, SwitchConfig, TopoNode, Topology, TopologySpec, FRAME_HEADER_BYTES,
-    PULSE_HEADER_BYTES,
+    CodeBlob, Endpoint, FabricConfig, IterPacket, IterStatus, LinkConfig, Network, Packet,
+    RequestId, Route, Switch, SwitchConfig, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
     DispatchConfig, Driver, LatencyHistogram, LatencySummary, SerialResource, SimTime, SplitMix64,
@@ -35,6 +35,7 @@ use pulse_sim::{
 use pulse_trace::{PhaseAttribution, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
+use std::fmt;
 
 /// Distributed-traversal handling mode (Fig. 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +104,8 @@ pub struct ClusterConfig {
     /// The rack fabric shape. [`TopologySpec::Flat`] (the default) keeps the
     /// legacy single-switch pricing path — bit-identical to the pre-fabric
     /// model — while any routed spec prices every packet hop by hop on a
-    /// [`Fabric`] built over the rack's CPU and memory endpoints.
+    /// fabric built over the rack's CPU and memory endpoints (see
+    /// [`Network`]).
     pub topology: TopologySpec,
     /// Per-CPU-node hot-object cache over traversal cells (see
     /// `pulse_frontend::cache` for the coherence semantics). Disabled by
@@ -157,6 +159,71 @@ impl Default for ClusterConfig {
     }
 }
 
+impl ClusterConfig {
+    /// Checks the configuration against a rack of `nodes` memory nodes:
+    /// at least one CPU node and dispatch context, no empty accelerator
+    /// pipeline pool, a valid cache and topology, and faults that name
+    /// existing nodes.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the first invalid field.
+    pub fn validate(&self, nodes: usize) -> Result<(), String> {
+        if self.cpus == 0 {
+            return Err("a rack needs at least one CPU node".into());
+        }
+        if self.dispatch.contexts == 0 {
+            return Err("a CPU node needs at least one dispatch context".into());
+        }
+        let org = self.accel.org;
+        let pipelines = match org {
+            PipelineOrg::Disaggregated { logic, memory } => logic.min(memory),
+            PipelineOrg::Coupled { cores } => cores,
+        };
+        if pipelines == 0 {
+            return Err(format!(
+                "accelerator organization {org:?} leaves a pipeline pool empty"
+            ));
+        }
+        self.cache.validate()?;
+        self.topology.validate()?;
+        if let Some(f) = self.faults.iter().find(|f| f.kind.node() >= nodes) {
+            return Err(format!(
+                "fault {:?} names node {} but the rack has {nodes}",
+                f.kind,
+                f.kind.node()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Why [`PulseCluster::try_new`] refused to build a rack.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClusterError {
+    /// The configuration is invalid (see [`ClusterConfig::validate`]).
+    Config(String),
+    /// A node's translation ranges exceed the TCAM capacity.
+    Capacity(CapacityExceeded),
+}
+
+impl fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClusterError::Config(msg) => write!(f, "invalid cluster configuration: {msg}"),
+            ClusterError::Capacity(e) => write!(f, "TCAM capacity exceeded: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
+
+impl From<CapacityExceeded> for ClusterError {
+    fn from(e: CapacityExceeded) -> Self {
+        ClusterError::Capacity(e)
+    }
+}
+
 /// Aggregate measurements of one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
@@ -171,8 +238,9 @@ pub struct ClusterReport {
     /// Mid-traversal node crossings (switch reroutes in pulse mode, CPU
     /// bounces in pulse-acc mode).
     pub crossings: u64,
-    /// Bytes that crossed the CPU nodes' links (both directions, summed
-    /// over every compute node).
+    /// Host bytes on the network ([`Network::host_bytes`]): both
+    /// directions of every CPU NIC on the flat rack, every message once on
+    /// its origin's up-link on a routed fabric.
     pub net_bytes: u64,
     /// Bytes served by memory-node DRAM (windows + objects).
     pub mem_bytes: u64,
@@ -242,7 +310,8 @@ pub struct ClusterReport {
 enum Ev {
     /// CPU node starts processing a submitted request.
     Start(RequestId),
-    /// Packet reaches the switch ingress (with its source endpoint).
+    /// Packet reaches the switch ingress (with its source endpoint); flat
+    /// racks only, routed racks route at departure.
     AtSwitch(Packet, Endpoint),
     /// Packet reaches memory node `n`.
     AtMem(NodeId, Packet),
@@ -334,17 +403,14 @@ pub struct PulseCluster {
     cfg: ClusterConfig,
     mem: ClusterMemory,
     accels: Vec<Accelerator>,
+    /// The switch's routing decision (a pure function of the packet).
     switch: Switch,
-    /// The routed fabric, present exactly when `cfg.topology` is not flat.
-    /// In routed mode it replaces the flat `links`/`switch.forward` pricing:
-    /// every packet is charged hop by hop on per-directed-link pipes (the
-    /// switch still supplies the pure routing decision).
-    fabric: Option<Fabric>,
-    links: Vec<Link>,
-    /// One front end per CPU node: the node's NIC/issue-queue link, its
-    /// serial dispatch engine, its request sequence counter, and (when
-    /// configured) its coherent traversal-cell cache — the shared
-    /// `pulse-frontend` layer all three execution engines issue through.
+    /// Every hop's pricing, flat or routed.
+    net: Network,
+    /// One front end per CPU node: the node's serial dispatch engine, its
+    /// request sequence counter, and (when configured) its coherent
+    /// traversal-cell cache — the shared `pulse-frontend` layer all three
+    /// execution engines issue through.
     frontends: Vec<CpuFrontEnd>,
     /// Per-node DMA engines serving plain object reads/writes.
     dma: Vec<SerialResource>,
@@ -381,13 +447,6 @@ pub struct PulseCluster {
     /// The optional trace recorder ([`ClusterConfig::trace`]); `None` is
     /// the zero-cost disabled path.
     sink: Option<TraceSink>,
-    /// Cumulative byte counters at the last counter sample, one per link
-    /// track (flat: CPU NICs then memory NICs; routed: directed links).
-    /// Empty when tracing is off.
-    sampled_bytes: Vec<u64>,
-    /// Routed mode with tracing: each endpoint's first-hop (host up-link)
-    /// directed-link id, for WireHop span attribution.
-    uplink: HashMap<Endpoint, usize>,
     // Measurements.
     hist: LatencyHistogram,
     /// Latency over completions finishing inside `fault_window`.
@@ -426,33 +485,24 @@ impl PulseCluster {
     ///
     /// # Panics
     ///
-    /// Panics if a node's translation ranges exceed the TCAM capacity;
-    /// [`PulseCluster::try_new`] is the non-panicking variant.
+    /// Panics if the configuration is invalid or a node's translation
+    /// ranges exceed the TCAM capacity; [`PulseCluster::try_new`] is the
+    /// non-panicking variant.
     pub fn new(cfg: ClusterConfig, mem: ClusterMemory) -> PulseCluster {
-        PulseCluster::try_new(cfg, mem).expect("node ranges fit the TCAM")
+        PulseCluster::try_new(cfg, mem).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: fails when a node's translation ranges exceed
-    /// the configured TCAM capacity.
+    /// Fallible constructor.
     ///
     /// # Errors
     ///
-    /// [`CapacityExceeded`] naming the overflowing node's demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.cpus == 0` (a rack needs at least one compute node;
-    /// the `pulse::PulseBuilder` façade reports this as a typed error).
-    pub fn try_new(
-        cfg: ClusterConfig,
-        mem: ClusterMemory,
-    ) -> Result<PulseCluster, CapacityExceeded> {
-        assert!(cfg.cpus >= 1, "a rack needs at least one CPU node");
-        if let Err(msg) = cfg.cache.validate() {
-            panic!("{msg}");
-        }
+    /// [`ClusterError::Config`] when [`ClusterConfig::validate`] rejects
+    /// `cfg` for this rack, [`ClusterError::Capacity`] naming the demand of
+    /// a node whose translation ranges overflow its TCAM.
+    pub fn try_new(cfg: ClusterConfig, mem: ClusterMemory) -> Result<PulseCluster, ClusterError> {
         let nodes = mem.node_count();
-        let switch = Switch::new(cfg.switch, GlobalRangeMap::new(&mem.all_ranges()));
+        cfg.validate(nodes).map_err(ClusterError::Config)?;
+        let switch = Switch::new(GlobalRangeMap::new(&mem.all_ranges()));
         // With a front-end cache, accelerators ship the cells they touch
         // back with each response (the cache's fill feed, priced on the
         // wire); without one, collection stays off and wire sizes are
@@ -472,68 +522,30 @@ impl PulseCluster {
                 Ok(Accelerator::new(accel_cfg, n, table))
             })
             .collect::<Result<Vec<_>, CapacityExceeded>>()?;
-        let fabric = cfg.topology.is_routed().then(|| {
-            Fabric::new(
-                cfg.topology.build(cfg.cpus, nodes),
-                FabricConfig {
-                    link: cfg.link,
-                    switch: cfg.switch,
-                },
-            )
-        });
+        let net = Network::new(
+            cfg.topology,
+            cfg.cpus,
+            nodes,
+            FabricConfig {
+                link: cfg.link,
+                switch: cfg.switch,
+            },
+        );
         // The trace sink names every link track up front so exported
-        // timelines read as rack geometry, not bare indices. Flat racks
-        // get one track per NIC; routed racks one per directed link.
-        let mut uplink = HashMap::new();
+        // timelines read as rack geometry, not bare indices.
         let sink = cfg.trace.map(|tc| {
             let mut sink = TraceSink::new(tc);
-            match &fabric {
-                Some(fab) => {
-                    for (i, l) in fab.topology().links().iter().enumerate() {
-                        sink.name_track(
-                            Track::Link(i),
-                            format!("{}->{}", topo_label(l.from), topo_label(l.to)),
-                        );
-                        if let TopoNode::Host(ep) = l.from {
-                            uplink.insert(ep, i);
-                        }
-                    }
-                }
-                None => {
-                    for c in 0..cfg.cpus {
-                        sink.name_track(Track::Link(c), format!("nic-cpu{c}"));
-                    }
-                    for n in 0..nodes {
-                        sink.name_track(Track::Link(cfg.cpus + n), format!("nic-mem{n}"));
-                    }
-                }
+            for (i, name) in net.link_names().into_iter().enumerate() {
+                sink.name_track(Track::Link(i), name);
             }
             sink
         });
-        let sampled_bytes = if sink.is_some() {
-            vec![
-                0u64;
-                match &fabric {
-                    Some(fab) => fab.topology().links().len(),
-                    None => cfg.cpus + nodes,
-                }
-            ]
-        } else {
-            Vec::new()
-        };
         // Sized for a deep open-loop in-flight population so the event
         // heap reaches steady state without reallocating. Scheduled faults
         // go in first, so at equal timestamps a fault fires before the
         // traffic it disrupts.
         let mut drv = Driver::with_capacity(1024);
         for f in &cfg.faults {
-            assert!(
-                f.kind.node() < nodes,
-                "fault {:?} names memory node {} of a {}-node rack",
-                f.kind,
-                f.kind.node(),
-                nodes
-            );
             drv.schedule_at(f.at, Ev::Fault(f.kind));
         }
         // The degraded measurement window: first fault to last repair.
@@ -552,11 +564,10 @@ impl PulseCluster {
         Ok(PulseCluster {
             accels,
             switch,
-            fabric,
-            links: (0..nodes).map(|_| Link::new(cfg.link)).collect(),
+            net,
             frontends: (0..cfg.cpus)
                 .map(|_| {
-                    let mut fe = CpuFrontEnd::new(cfg.link, cfg.dispatch, cfg.cache);
+                    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
                     if cfg.coalesce.enabled {
                         fe.enable_coalescing(cfg.coalesce);
                     }
@@ -577,8 +588,6 @@ impl PulseCluster {
             wedged: vec![false; nodes],
             fault_window,
             sink,
-            sampled_bytes,
-            uplink,
             hist: LatencyHistogram::new(),
             degraded_hist: LatencyHistogram::new(),
             completed: 0,
@@ -617,15 +626,17 @@ impl PulseCluster {
         self.frontends.len()
     }
 
-    /// Per-CPU-node front ends (link, dispatch engine, cache), indexed by
+    /// Per-CPU-node front ends (dispatch engine, cache), indexed by
     /// `CpuId`.
     pub fn frontends(&self) -> &[CpuFrontEnd] {
         &self.frontends
     }
 
-    /// Per-CPU-node link views (tx/rx byte counters), indexed by `CpuId`.
-    pub fn cpu_links(&self) -> Vec<&Link> {
-        self.frontends.iter().map(CpuFrontEnd::link).collect()
+    /// The rack network: per-CPU NICs, and the routed fabric's per-link
+    /// state when one exists (ablation-level inspection; the report
+    /// carries the headline scalars).
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 
     /// Mints the identity the next submission will carry: the configured
@@ -729,7 +740,7 @@ impl PulseCluster {
         self.sample_counters(now);
         match ev {
             Ev::Start(id) => self.send_stage(drv, now, id),
-            Ev::AtSwitch(pkt, from) => self.at_switch(drv, now, pkt, from),
+            Ev::AtSwitch(pkt, from) => self.forward(drv, now, pkt, from),
             Ev::AtMem(n, pkt) => self.at_mem(drv, now, n, pkt),
             Ev::Accel(n, aev) => {
                 // Events of a dark node's accelerator died with it. Pipeline
@@ -837,18 +848,7 @@ impl PulseCluster {
             latency: self.hist.summary(),
             throughput: self.completed as f64 / horizon.as_secs_f64(),
             crossings: self.crossings,
-            // Flat mode counts bytes at the CPU links (both directions);
-            // routed mode counts every message once at its origin's fabric
-            // up-link, which additionally covers mem→mem chained hops the
-            // CPU links never see.
-            net_bytes: match &self.fabric {
-                Some(f) => f.host_injected_bytes(),
-                None => self
-                    .frontends
-                    .iter()
-                    .map(|f| f.link().tx_bytes() + f.link().rx_bytes())
-                    .sum(),
-            },
+            net_bytes: self.net.host_bytes(),
             mem_bytes,
             memory_util: self
                 .accels
@@ -885,14 +885,8 @@ impl PulseCluster {
                     hits as f64 / (hits + misses) as f64
                 }
             },
-            link_utilization: self
-                .fabric
-                .as_ref()
-                .map_or(0.0, |f| f.cpu_downlink_peak(horizon)),
-            queue_depth: self
-                .fabric
-                .as_ref()
-                .map_or(0, |f| f.max_queue_depth() as u64),
+            link_utilization: self.net.cpu_downlink_peak(horizon),
+            queue_depth: self.net.max_queue_depth() as u64,
             failovers: self.failovers,
             unavailable_completions: self.unavailable,
             rereplication_bytes: self.rereplication_bytes,
@@ -902,12 +896,6 @@ impl PulseCluster {
             batched_hops: self.accels.iter().map(|a| a.stats().batched_hops).sum(),
             coalesced_prefix_hops: self.coalesced_prefix_hops,
         }
-    }
-
-    /// The routed fabric's per-link state, when one exists (ablation-level
-    /// inspection; the report carries the headline scalars).
-    pub fn fabric(&self) -> Option<&Fabric> {
-        self.fabric.as_ref()
     }
 
     /// The trace recorder, when the cluster was built with
@@ -937,12 +925,6 @@ impl PulseCluster {
         }
     }
 
-    /// The trace track of memory node `n`'s flat NIC (CPU NICs occupy the
-    /// first `cpus` link ids).
-    fn mem_nic_track(&self, n: NodeId) -> Track {
-        Track::Link(self.frontends.len() + n)
-    }
-
     /// Catches the counter-sample clock up to `now`, recording one link
     /// utilization + egress-queue-depth observation per track per due
     /// tick. Runs at the top of the event handler so idle stretches are
@@ -954,42 +936,9 @@ impl PulseCluster {
         };
         let interval = sink.config().sample_interval.as_secs_f64();
         while let Some(at) = sink.sample_tick(now) {
-            match &self.fabric {
-                Some(fab) => {
-                    for (i, stat) in fab.link_stats().iter().enumerate() {
-                        let delta = stat.bytes - self.sampled_bytes[i];
-                        self.sampled_bytes[i] = stat.bytes;
-                        let bps = match stat.from {
-                            TopoNode::Host(_) => self.cfg.link.bits_per_sec,
-                            TopoNode::Switch(_) => self.cfg.switch.port_bits_per_sec,
-                        };
-                        let util = (delta as f64 * 8.0 / (interval * bps as f64)).min(1.0);
-                        let depth = fab.queue_depth_at(i, at) as u64;
-                        sink.record_sample(Track::Link(i), at, util, depth);
-                    }
-                }
-                None => {
-                    // Flat NICs are full duplex; utilization is the
-                    // combined-direction busy fraction. No modeled egress
-                    // queue exists, so depth reads 0.
-                    let bps = self.cfg.link.bits_per_sec as f64;
-                    let cpus = self.frontends.len();
-                    for (c, fe) in self.frontends.iter().enumerate() {
-                        let total = fe.link().tx_bytes() + fe.link().rx_bytes();
-                        let delta = total - self.sampled_bytes[c];
-                        self.sampled_bytes[c] = total;
-                        let util = (delta as f64 * 8.0 / (interval * 2.0 * bps)).min(1.0);
-                        sink.record_sample(Track::Link(c), at, util, 0);
-                    }
-                    for (n, link) in self.links.iter().enumerate() {
-                        let total = link.tx_bytes() + link.rx_bytes();
-                        let delta = total - self.sampled_bytes[cpus + n];
-                        self.sampled_bytes[cpus + n] = total;
-                        let util = (delta as f64 * 8.0 / (interval * 2.0 * bps)).min(1.0);
-                        sink.record_sample(Track::Link(cpus + n), at, util, 0);
-                    }
-                }
-            }
+            self.net.sample(at, interval, |link, util, depth| {
+                sink.record_sample(Track::Link(link), at, util, depth);
+            });
         }
     }
 
@@ -1056,7 +1005,7 @@ impl PulseCluster {
     fn unavailable_complete(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.frontends[id.cpu].rx(now, NOTICE_BYTES) + self.cfg.link.propagation;
+        let arrive = self.net.notice(now, id.cpu, NOTICE_BYTES);
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::Finished(id, Done::Unavailable));
         // Coalesced riders do not inherit the leader's unavailable
@@ -1070,7 +1019,7 @@ impl PulseCluster {
     fn crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.frontends[id.cpu].rx(now, NOTICE_BYTES) + self.cfg.link.propagation;
+        let arrive = self.net.notice(now, id.cpu, NOTICE_BYTES);
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::CrashNotice(id));
     }
@@ -1217,11 +1166,7 @@ impl PulseCluster {
         let read_done = read.end;
         self.mem_bytes_extra += len;
         let depart = self.frontends[0].book_dispatch(read_done);
-        let arrive = if self.fabric.is_some() {
-            self.fabric_send(depart, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
-        } else {
-            self.links[src].tx(depart, wire) + self.cfg.link.propagation
-        };
+        let arrive = self.net.store(depart, src, dst, wire);
         let write = self.dma[dst].acquire(arrive + DMA_SETUP, len);
         self.trace_occupy(
             Track::Mem(dst),
@@ -1376,26 +1321,8 @@ impl PulseCluster {
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
             }
             Next::Send(pkt, at) => {
-                // The dispatch engine first (queueing + occupancy under
-                // load), then the flat pipeline latency, then the node's
-                // NIC (flat) or the routed fabric.
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
-                let grant = self.frontends[id.cpu].book_dispatch_grant(at);
-                let depart = grant.end + self.cfg.dispatch_overhead;
-                self.trace_push(id, SpanKind::Queued, Track::Cpu(id.cpu), grant.start);
-                self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), depart);
-                if self.fabric.is_some() {
-                    self.route_and_send(drv, depart, pkt, Endpoint::Cpu(id.cpu));
-                } else {
-                    let arrive = self.frontends[id.cpu].tx(depart, pkt.wire_bytes());
-                    self.trace_push(
-                        id,
-                        SpanKind::WireHop { link: id.cpu },
-                        Track::Link(id.cpu),
-                        arrive,
-                    );
-                    drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Cpu(id.cpu)));
-                }
+                self.issue(drv, at, pkt, self.cfg.dispatch_overhead);
             }
         }
     }
@@ -1506,14 +1433,34 @@ impl PulseCluster {
         }
     }
 
-    /// Routed-fabric counterpart of [`Self::at_switch`]: the switch still
-    /// makes the pure routing decision (crossing counting, the pulse-acc
-    /// override, and invalid-pointer notification follow the flat path
-    /// exactly), but transport is priced hop by hop on the fabric and the
-    /// delivery event is scheduled directly — no `AtSwitch` hop exists in
-    /// routed mode.
-    fn route_and_send(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+    /// Puts `pkt` on the network from `from` at `at`. A flat rack carries
+    /// it over the sender's NIC to the switch ingress ([`Ev::AtSwitch`]),
+    /// where [`Self::forward`] routes it; a routed rack routes it at
+    /// departure.
+    fn transmit(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+        match self.net.ingress(at, from, pkt.wire_bytes()) {
+            Some((arrive, link)) => {
+                self.trace_push(
+                    pkt.id(),
+                    SpanKind::WireHop { link },
+                    Track::Link(link),
+                    arrive,
+                );
+                drv.schedule_at(arrive, Ev::AtSwitch(pkt, from));
+            }
+            None => self.forward(drv, at, pkt, from),
+        }
+    }
+
+    /// The switch's routing decision for `pkt` (sent by `from`, at the
+    /// switch at `at`), then delivery. Counts crossings and applies the
+    /// pulse-acc ablation, fails over around unreachable nodes, and turns
+    /// an invalid pointer into a fault notice to the requester (§5). The
+    /// trip is attributed to the link the network names.
+    fn forward(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
         let mut route = self.switch.route(&pkt);
+        // An in-flight iterator arriving *from a memory node* is a
+        // mid-traversal crossing.
         if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, from) {
             if matches!(ip.status, IterStatus::InFlight) {
                 self.crossings += 1;
@@ -1526,140 +1473,32 @@ impl PulseCluster {
             Ok(r) => r,
             Err(()) => return self.unavailable_complete(drv, at, pkt),
         };
-        let wire = pkt.wire_bytes();
-        // Routed trips are priced hop by hop but recorded as one WireHop
-        // span attributed to the message's first hop (the sender's
-        // up-link) — the only link whose occupancy the sender holds.
+        let (Route::To(to) | Route::InvalidPointer { requester: to }) = route;
         let id = pkt.id();
-        let up = self.uplink.get(&from).copied().unwrap_or_default();
-        match route {
-            Route::To(ep) => {
-                let arrive = self.fabric_send(at, from, ep, wire);
-                self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                match ep {
-                    Endpoint::Mem(n) => drv.schedule_at(arrive, Ev::AtMem(n, pkt)),
-                    Endpoint::Cpu(_) => drv.schedule_at(arrive, Ev::AtCpu(pkt)),
-                }
-            }
-            Route::InvalidPointer { requester } => {
-                let arrive = self.fabric_send(at, from, requester, wire);
-                self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                match pkt {
-                    Packet::Iter(mut ip) => {
-                        ip.status = IterStatus::Faulted {
-                            fault: pulse_isa::MemFault::NotMapped {
-                                addr: ip.state.cur_ptr,
-                            },
-                        };
-                        drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
-                    }
-                    Packet::Read { id, .. } | Packet::Write { id, .. } => {
-                        drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-                    }
-                    Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-                        unreachable!("replies route to the requester, never invalid")
-                    }
-                }
-            }
-        }
-    }
-
-    /// Prices one message on the routed fabric. CPU-originated messages go
-    /// through the issuing front end ([`CpuFrontEnd::tx_routed`]) so the
-    /// shared issue path sees them; memory-node messages enter the fabric
-    /// directly.
-    fn fabric_send(&mut self, at: SimTime, from: Endpoint, to: Endpoint, bytes: u64) -> SimTime {
-        match from {
-            Endpoint::Cpu(c) => {
-                self.frontends[c].tx_routed(self.fabric.as_mut(), from, to, at, bytes)
-            }
-            Endpoint::Mem(_) => self
-                .fabric
-                .as_mut()
-                .expect("routed mode has a fabric")
-                .send(at, from, to, bytes)
-                .expect("fabric covers every rack endpoint"),
-        }
-    }
-
-    fn at_switch(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, from: Endpoint) {
-        let mut route = self.switch.route(&pkt);
-        // Count crossings and apply the pulse-acc ablation: an in-flight
-        // iterator arriving *from a memory node* is a mid-traversal
-        // crossing.
-        if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, from) {
-            if matches!(ip.status, IterStatus::InFlight) {
-                self.crossings += 1;
-                if self.cfg.mode == PulseMode::PulseAcc {
-                    route = Route::To(Endpoint::Cpu(pkt.id().cpu));
-                }
-            }
-        }
-        let route = match self.health_route(route, &pkt) {
-            Ok(r) => r,
-            Err(()) => return self.unavailable_complete(drv, now, pkt),
-        };
-        // The switch-egress + delivery trip is attributed to the
-        // *destination's* NIC track (the sender's NIC span ended at
-        // switch ingress).
-        let id = pkt.id();
-        match route {
-            Route::To(ep) => {
-                let egress_done = self.switch.forward(now, &pkt, ep);
-                let arrive = egress_done + self.cfg.link.propagation;
-                match ep {
-                    Endpoint::Mem(n) => {
-                        let track = self.mem_nic_track(n);
-                        let link = self.frontends.len() + n;
-                        self.trace_push(id, SpanKind::WireHop { link }, track, arrive);
-                        drv.schedule_at(arrive, Ev::AtMem(n, pkt))
-                    }
-                    Endpoint::Cpu(c) => {
-                        // Count bytes entering that CPU's link (rx side).
-                        let arrive = self.frontends[c].rx(egress_done, pkt.wire_bytes());
-                        self.trace_push(id, SpanKind::WireHop { link: c }, Track::Link(c), arrive);
-                        drv.schedule_at(arrive, Ev::AtCpu(pkt));
-                    }
-                }
-            }
-            Route::InvalidPointer { requester } => {
-                // Notify the requesting CPU of the invalid pointer (§5).
-                let egress_done = self.switch.forward(now, &pkt, requester);
-                let cpu = match requester {
-                    Endpoint::Cpu(c) => c,
-                    Endpoint::Mem(_) => unreachable!("requesters are CPU nodes"),
+        let (arrive, link) = self.net.deliver(at, from, to, pkt.wire_bytes());
+        self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
+        let ev = match (route, pkt) {
+            (Route::To(Endpoint::Mem(n)), pkt) => Ev::AtMem(n, pkt),
+            (Route::To(Endpoint::Cpu(_)), pkt) => Ev::AtCpu(pkt),
+            (Route::InvalidPointer { .. }, Packet::Iter(mut ip)) => {
+                ip.status = IterStatus::Faulted {
+                    fault: pulse_isa::MemFault::NotMapped {
+                        addr: ip.state.cur_ptr,
+                    },
                 };
-                // Both arms charge the CPU link at the packet's full wire
-                // size, matching the switch's egress-port charge in
-                // `forward` (a flat 128 B under-charge before this fix).
-                let arrive = self.frontends[cpu].rx(egress_done, pkt.wire_bytes());
-                self.trace_push(
-                    id,
-                    SpanKind::WireHop { link: cpu },
-                    Track::Link(cpu),
-                    arrive,
-                );
-                match pkt {
-                    Packet::Iter(mut ip) => {
-                        ip.status = IterStatus::Faulted {
-                            fault: pulse_isa::MemFault::NotMapped {
-                                addr: ip.state.cur_ptr,
-                            },
-                        };
-                        drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
-                    }
-                    // Plain reads/writes aimed at an unmapped address: the
-                    // request fault-completes instead of hanging forever
-                    // with its packet silently dropped.
-                    Packet::Read { id, .. } | Packet::Write { id, .. } => {
-                        drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-                    }
-                    Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-                        unreachable!("replies route to the requester, never invalid")
-                    }
-                }
+                Ev::AtCpu(Packet::Iter(ip))
             }
-        }
+            // Plain reads/writes aimed at an unmapped address: the request
+            // fault-completes instead of hanging forever with its packet
+            // silently dropped.
+            (Route::InvalidPointer { .. }, Packet::Read { .. } | Packet::Write { .. }) => {
+                Ev::Finished(id, Done::Fault)
+            }
+            (Route::InvalidPointer { .. }, Packet::ReadReply { .. } | Packet::WriteAck { .. }) => {
+                unreachable!("replies route to the requester, never invalid")
+            }
+        };
+        drv.schedule_at(arrive, ev);
     }
 
     fn at_mem(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, pkt: Packet) {
@@ -1691,9 +1530,8 @@ impl PulseCluster {
                 let mut done = g.end;
                 // Replicated stores fan out synchronously: every other
                 // live copy absorbs the same bytes — a real DMA store trip
-                // each, crossing the serving node's NIC (flat) or the
-                // fabric (routed) — and the ack waits for the slowest
-                // copy. At replication 1 this block never runs.
+                // each, crossing the network — and the ack waits for the
+                // slowest copy. At replication 1 this block never runs.
                 if self.mem.replication() > 1 {
                     for m in self.mem.all_replicas_of(addr) {
                         if m == n || !self.mem.node_is_up(m) {
@@ -1701,11 +1539,7 @@ impl PulseCluster {
                         }
                         let bytes = len as u64;
                         let wire = bytes + NOTICE_BYTES;
-                        let at = if self.fabric.is_some() {
-                            self.fabric_send(now, Endpoint::Mem(n), Endpoint::Mem(m), wire)
-                        } else {
-                            self.links[n].tx(now, wire) + self.cfg.link.propagation
-                        };
+                        let at = self.net.store(now, n, m, wire);
                         let gm = self.dma[m].acquire(at + DMA_SETUP, bytes);
                         self.mem_bytes_extra += bytes;
                         self.trace_occupy(
@@ -1729,9 +1563,7 @@ impl PulseCluster {
         }
     }
 
-    /// Transmits a packet out of memory node `n` at `at`: over the node's
-    /// flat link toward the switch, or priced on the routed fabric with
-    /// delivery scheduled directly.
+    /// Transmits a packet out of memory node `n` at `at`.
     fn mem_depart(&mut self, drv: &mut Driver<Ev>, n: NodeId, at: SimTime, pkt: Packet) {
         // The node went dark between serving and transmitting: the
         // response never escapes. (A response whose transmit was already
@@ -1739,19 +1571,7 @@ impl PulseCluster {
         if !self.mem_ok(n) {
             return self.crash_notice(drv, at, pkt);
         }
-        if self.fabric.is_some() {
-            self.route_and_send(drv, at, pkt, Endpoint::Mem(n));
-        } else {
-            let arrive = self.links[n].tx(at, pkt.wire_bytes());
-            let link = self.frontends.len() + n;
-            self.trace_push(
-                pkt.id(),
-                SpanKind::WireHop { link },
-                Track::Link(link),
-                arrive,
-            );
-            drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Mem(n)));
-        }
+        self.transmit(drv, at, pkt, Endpoint::Mem(n));
     }
 
     /// Feeds accelerator outputs back into the event loop, applying the
@@ -1839,28 +1659,17 @@ impl PulseCluster {
         self.accel_out = outs;
     }
 
-    /// Re-transmits a bounced/limited traversal from its owning CPU node:
-    /// dispatch booking + re-issue software cost, then the node's NIC
-    /// (flat) or the routed fabric.
-    fn cpu_reissue(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
+    /// Sends `pkt` from its issuing CPU node at `at`: the dispatch engine
+    /// first (queueing + occupancy under load), then the pass-through
+    /// software cost `overhead` (the first issue's or a re-issue's), then
+    /// the network.
+    fn issue(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, overhead: SimTime) {
         let id = pkt.id();
-        let cpu = id.cpu;
-        let grant = self.frontends[cpu].book_dispatch_grant(now);
-        let depart = grant.end + self.cfg.reissue_overhead;
-        self.trace_push(id, SpanKind::Queued, Track::Cpu(cpu), grant.start);
-        self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), depart);
-        if self.fabric.is_some() {
-            self.route_and_send(drv, depart, pkt, Endpoint::Cpu(cpu));
-        } else {
-            let arrive = self.frontends[cpu].tx(depart, pkt.wire_bytes());
-            self.trace_push(
-                id,
-                SpanKind::WireHop { link: cpu },
-                Track::Link(cpu),
-                arrive,
-            );
-            drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Cpu(cpu)));
-        }
+        let grant = self.frontends[id.cpu].book_dispatch_grant(at);
+        let depart = grant.end + overhead;
+        self.trace_push(id, SpanKind::Queued, Track::Cpu(id.cpu), grant.start);
+        self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), depart);
+        self.transmit(drv, depart, pkt, Endpoint::Cpu(id.cpu));
     }
 
     /// ISA-v2 coalescing fan-out: each rider of a completed leader offload
@@ -1945,7 +1754,7 @@ impl PulseCluster {
                     self.fill_cache(id.cpu, &ip.touched);
                     let mut ip = ip;
                     ip.touched.clear();
-                    self.cpu_reissue(drv, now, Packet::Iter(ip));
+                    self.issue(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
                 }
                 IterStatus::IterLimit => {
                     // Continuation: fresh budget, same state (§3).
@@ -1954,7 +1763,7 @@ impl PulseCluster {
                     ip.touched.clear();
                     ip.status = IterStatus::InFlight;
                     ip.state.iters_done = 0;
-                    self.cpu_reissue(drv, now, Packet::Iter(ip));
+                    self.issue(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
                 }
                 IterStatus::Faulted { .. } => {
                     self.scratch_pool.push(ip.state.scratch);
@@ -1974,15 +1783,6 @@ impl PulseCluster {
                 unreachable!("requests never route to the CPU node")
             }
         }
-    }
-}
-
-/// Display label of a fabric vertex for trace track names.
-fn topo_label(n: TopoNode) -> String {
-    match n {
-        TopoNode::Host(Endpoint::Cpu(c)) => format!("cpu{c}"),
-        TopoNode::Host(Endpoint::Mem(m)) => format!("mem{m}"),
-        TopoNode::Switch(s) => format!("sw{s}"),
     }
 }
 
@@ -2197,7 +1997,7 @@ mod tests {
         // Every compute node both issued requests and received replies,
         // and the aggregate counter covers all of them.
         let mut sum = 0;
-        for link in cluster.cpu_links() {
+        for link in cluster.network().cpu_nics() {
             assert!(link.tx_bytes() > 0, "idle CPU tx link");
             assert!(link.rx_bytes() > 0, "idle CPU rx link");
             sum += link.tx_bytes() + link.rx_bytes();
@@ -2253,7 +2053,7 @@ mod tests {
         let report = cluster.run(reqs, 8);
         assert_eq!(report.completed, 120);
         assert!(report.crossings > 0);
-        for link in cluster.cpu_links() {
+        for link in cluster.network().cpu_nics() {
             assert!(link.rx_bytes() > 0, "bounce bypassed a CPU node");
         }
     }
@@ -2361,7 +2161,7 @@ mod tests {
             len: 4096,
         }
         .wire_bytes();
-        assert!(cluster.cpu_links()[0].rx_bytes() >= wire);
+        assert!(cluster.network().cpu_nics()[0].rx_bytes() >= wire);
     }
 
     #[test]
@@ -2489,7 +2289,7 @@ mod tests {
         let (mem, reqs, _) = webservice_cluster(2, 2_000, 1 << 20);
         let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
         let report = cluster.run(reqs, 8);
-        assert!(cluster.fabric().is_none());
+        assert!(cluster.network().fabric().is_none());
         assert_eq!(report.link_utilization, 0.0);
         assert_eq!(report.queue_depth, 0);
     }
@@ -2515,7 +2315,10 @@ mod tests {
         assert_eq!(report.completed, 120);
         assert!(report.queue_depth >= 2, "depth {}", report.queue_depth);
         assert!(report.link_utilization > 0.0);
-        let fabric = cluster.fabric().expect("routed mode has a fabric");
+        let fabric = cluster
+            .network()
+            .fabric()
+            .expect("routed mode has a fabric");
         assert!(fabric.link_stats().iter().any(|s| s.bytes > 0));
     }
 

@@ -43,9 +43,10 @@
 //!
 //! # CPU-node front end and hot-object cache
 //!
-//! Each CPU node's issue path — link, dispatch engine, sequence counter —
-//! is the shared [`CpuFrontEnd`] layer (`pulse-frontend`), the same state
-//! the replay baselines issue through. [`ClusterConfig::cache`] threads a
+//! Each CPU node's issue path — dispatch engine, sequence counter — is
+//! the shared [`CpuFrontEnd`] layer (`pulse-frontend`), the same state
+//! the replay baselines issue through; its NIC is priced by the rack's
+//! `pulse_net::Network`. [`ClusterConfig::cache`] threads a
 //! coherent traversal-cell cache into it: when enabled, each stage first
 //! walks cached, version-valid cells locally at [`CacheConfig::hit_ns`]
 //! per hop and only the remainder is offloaded, resumed from the last
@@ -101,7 +102,7 @@ mod cluster;
 mod cxl;
 
 pub use cluster::{
-    ClusterConfig, ClusterReport, Completion, CpuAssignment, PulseCluster, PulseMode,
+    ClusterConfig, ClusterError, ClusterReport, Completion, CpuAssignment, PulseCluster, PulseMode,
 };
 pub use cxl::{cxl_study, CxlConfig, CxlSlowdown};
 pub use pulse_accel::AccelConfig;

@@ -1,8 +1,8 @@
 //! Per-CPU-node issue-path state, shared by every execution engine.
 //!
 //! Before this layer existed, the pulse cluster and both replay baselines
-//! each hand-rolled their own CPU-side plumbing (link queue, sequence
-//! counter, dispatch engine). [`CpuFrontEnd`] bundles that state — plus
+//! each hand-rolled their own CPU-side plumbing (sequence counter,
+//! dispatch engine). [`CpuFrontEnd`] bundles that state — plus
 //! the optional coherent [`TraversalCache`] — so all three engines share
 //! one issue path and any CPU-side mechanism (like the cache) lands in
 //! every engine at once.
@@ -11,7 +11,6 @@ use crate::cache::{CacheBus, CacheConfig, TraversalCache};
 use crate::coalesce::{CoalesceConfig, PrefixCoalescer};
 use pulse_isa::{Interpreter, IterOutcome, IterState, Program};
 use pulse_mem::ClusterMemory;
-use pulse_net::{Endpoint, Fabric, Link, LinkConfig};
 use pulse_sim::{CpuDispatch, DispatchConfig, Grant, SimTime};
 
 /// Guard against a cycle living entirely inside the cache: the local walk
@@ -19,12 +18,12 @@ use pulse_sim::{CpuDispatch, DispatchConfig, Grant, SimTime};
 /// applies its own iteration budget).
 pub const WALK_HOP_CAP: u32 = 1 << 20;
 
-/// One CPU (compute) node's front end: its NIC/issue-queue [`Link`], its
-/// serial dispatch engine, its request sequence counter, and — when
-/// enabled — its coherent traversal-cell cache.
+/// One CPU (compute) node's front end: its serial dispatch engine, its
+/// request sequence counter, and — when enabled — its coherent
+/// traversal-cell cache. The node's NIC lives in the engine's network
+/// model (`pulse_net::Network` on the rack).
 #[derive(Debug)]
 pub struct CpuFrontEnd {
-    link: Link,
     dispatch: CpuDispatch,
     next_seq: u64,
     cache: Option<TraversalCache>,
@@ -35,9 +34,8 @@ impl CpuFrontEnd {
     /// Wires one CPU node's front end. A zero-capacity `cache` config
     /// (the default) builds no cache at all — the front end is then
     /// behaviourally identical to the pre-extraction hand-rolled state.
-    pub fn new(link: LinkConfig, dispatch: DispatchConfig, cache: CacheConfig) -> CpuFrontEnd {
+    pub fn new(dispatch: DispatchConfig, cache: CacheConfig) -> CpuFrontEnd {
         CpuFrontEnd {
-            link: Link::new(link),
             dispatch: CpuDispatch::new(dispatch),
             next_seq: 0,
             cache: cache.enabled().then(|| TraversalCache::new(cache)),
@@ -87,48 +85,6 @@ impl CpuFrontEnd {
     /// (`start..end`) — the tracing layer's Queued/Dispatch attribution.
     pub fn book_dispatch_grant(&mut self, now: SimTime) -> Grant {
         self.dispatch.book_grant(now)
-    }
-
-    /// Transmits `bytes` on the node's link; returns the arrival time at
-    /// the far end.
-    pub fn tx(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        self.link.tx(at, bytes)
-    }
-
-    /// Receives `bytes` on the node's link; returns delivery time.
-    pub fn rx(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        self.link.rx(at, bytes)
-    }
-
-    /// Route-aware transmit: with a routed `fabric`, the message is priced
-    /// hop by hop from `src` (this node's endpoint) to `dst` on the
-    /// fabric's directed links; without one it is exactly [`Self::tx`] —
-    /// the flat single-switch path, bit-identical to before fabrics
-    /// existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fabric is given and either endpoint is not attached to
-    /// it (cluster construction wires every endpoint).
-    pub fn tx_routed(
-        &mut self,
-        fabric: Option<&mut Fabric>,
-        src: Endpoint,
-        dst: Endpoint,
-        at: SimTime,
-        bytes: u64,
-    ) -> SimTime {
-        match fabric {
-            Some(f) => f
-                .send(at, src, dst, bytes)
-                .expect("fabric covers every rack endpoint"),
-            None => self.tx(at, bytes),
-        }
-    }
-
-    /// The node's link (tx/rx byte counters).
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 
     /// The node's dispatch engine (ops booked, utilization).
@@ -311,11 +267,7 @@ mod tests {
 
     #[test]
     fn front_end_mints_and_reserves_sequences() {
-        let mut fe = CpuFrontEnd::new(
-            LinkConfig::default(),
-            DispatchConfig::default(),
-            CacheConfig::default(),
-        );
+        let mut fe = CpuFrontEnd::new(DispatchConfig::default(), CacheConfig::default());
         assert!(fe.cache().is_none(), "disabled config builds no cache");
         assert_eq!(fe.mint_seq(), 0);
         assert_eq!(fe.mint_seq(), 1);
@@ -324,7 +276,5 @@ mod tests {
         // Uncontended dispatch is a free pass-through.
         let t = SimTime::from_nanos(50);
         assert_eq!(fe.book_dispatch(t), t);
-        assert!(fe.tx(t, 128) > t);
-        assert_eq!(fe.link().tx_bytes(), 128);
     }
 }

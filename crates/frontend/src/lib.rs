@@ -5,9 +5,8 @@
 //! rack, the RPC family, and the swap-cache baseline) so they share one
 //! implementation.
 //!
-//! * [`CpuFrontEnd`] — per-CPU-node state: the NIC/issue-queue link, the
-//!   serial dispatch engine, the request sequence counter, and the
-//!   optional cache;
+//! * [`CpuFrontEnd`] — per-CPU-node state: the serial dispatch engine,
+//!   the request sequence counter, and the optional cache;
 //! * [`CacheConfig`] / [`TraversalCache`] — a deterministic, coherent LRU
 //!   over traversal cells with version-validated hits (see the
 //!   [`cache`](crate::cache) module docs for the exact coherence

@@ -1,8 +1,9 @@
 //! # pulse-net
 //!
 //! The rack network substrate: the packet format iterator offloads travel
-//! in, the programmable switch that routes them by `cur_ptr` (§5), the
-//! endpoint links, and the dispatch engine's retransmission tracker (§4.1).
+//! in, the programmable switch that routes them by `cur_ptr` (§5), and the
+//! [`Network`] that prices every hop — endpoint links and switch egress
+//! ports on the flat rack, or a routed [`Fabric`].
 //!
 //! Requests and responses deliberately share one format ([`IterPacket`]):
 //! code + `cur_ptr` + scratchpad + status. A memory node that discovers the
@@ -20,6 +21,9 @@
 //!   in the endpoint pair), and `Ring` (edge switches on a cycle, shorter
 //!   arc wins). Every constructor guarantees the response path is the
 //!   request path reversed, hop for hop, and paths are loop-free.
+//! * **One seam** ([`Network`]): the rack engine hands it messages and
+//!   gets arrival times back, whichever mode the rack runs in; the flat
+//!   single-switch pricing and the routed fabric live behind it.
 //! * **Stall rules** ([`Fabric::send`]): a message carries a time cursor hop
 //!   by hop. Each directed link is a finite-bandwidth serialization pipe
 //!   with a FIFO of in-flight messages; a busy egress stalls the *message*
@@ -39,17 +43,19 @@
 //!
 //! ```
 //! use pulse_mem::GlobalRangeMap;
-//! use pulse_net::{Endpoint, Packet, RequestId, Route, Switch, SwitchConfig};
+//! use pulse_net::{Endpoint, FabricConfig, Network, Packet, RequestId, Route, Switch, TopologySpec};
 //! use pulse_sim::SimTime;
 //!
-//! let table = GlobalRangeMap::new(&[(0x1000, 0x2000, 0)]);
-//! let mut sw = Switch::new(SwitchConfig::default(), table);
+//! let sw = Switch::new(GlobalRangeMap::new(&[(0x1000, 0x2000, 0)]));
+//! let mut net = Network::new(TopologySpec::Flat, 1, 1, FabricConfig::default());
 //! let pkt = Packet::Read { id: RequestId { cpu: 0, seq: 1 }, addr: 0x1800, len: 64 };
+//! let from = Endpoint::Cpu(0);
+//! let (at_switch, _) = net.ingress(SimTime::ZERO, from, pkt.wire_bytes()).unwrap();
 //! match sw.route(&pkt) {
 //!     Route::To(ep) => {
-//!         let departed = sw.forward(SimTime::ZERO, &pkt, ep);
+//!         let (arrive, _) = net.deliver(at_switch, from, ep, pkt.wire_bytes());
 //!         assert_eq!(ep, Endpoint::Mem(0));
-//!         assert!(departed > SimTime::ZERO);
+//!         assert!(arrive > at_switch);
 //!     }
 //!     Route::InvalidPointer { .. } => unreachable!(),
 //! }
@@ -60,19 +66,19 @@
 
 mod fabric;
 mod link;
+mod network;
 mod packet;
-mod retx;
 mod switch;
 mod topology;
 mod wire;
 
 pub use fabric::{Fabric, FabricConfig, LinkStat};
 pub use link::{Link, LinkConfig};
+pub use network::Network;
 pub use packet::{
     CodeBlob, CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES,
 };
-pub use retx::{Delivery, RetxTracker};
 pub use switch::{Route, Switch, SwitchConfig};
 pub use topology::{DirectedLink, RackTopology, TopoNode, Topology, TopologySpec};
 pub use wire::{decode_packet, encode_packet, WireError};

@@ -4,13 +4,12 @@
 //! pointer to be traversed within iterator requests and determine the next
 //! memory node to which the request should be forwarded — both at line
 //! rate." Routing is a pure function of the packet (match `cur_ptr` against
-//! the global range table); forwarding charges the switch pipeline latency
-//! and per-egress-port serialization.
+//! the global range table). The [`Network`](crate::Network) prices the
+//! switch pipeline latency and per-egress-port serialization.
 
 use crate::packet::{Endpoint, IterStatus, Packet};
 use pulse_mem::GlobalRangeMap;
-use pulse_sim::{SerialResource, SimTime};
-use std::collections::HashMap;
+use pulse_sim::SimTime;
 
 /// Routing verdict for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,32 +24,27 @@ pub enum Route {
     },
 }
 
-/// Tofino-style switch model: global range table + pipeline latency +
-/// per-port egress bandwidth.
+/// Tofino-style switch routing: the global range table.
 ///
 /// # Examples
 ///
 /// ```
 /// use pulse_mem::GlobalRangeMap;
-/// use pulse_net::{Endpoint, Packet, RequestId, Route, Switch, SwitchConfig};
+/// use pulse_net::{Endpoint, Packet, RequestId, Route, Switch};
 ///
 /// let table = GlobalRangeMap::new(&[(0x1000, 0x2000, 0), (0x2000, 0x3000, 1)]);
-/// let mut sw = Switch::new(SwitchConfig::default(), table);
+/// let sw = Switch::new(table);
 /// let pkt = Packet::Read { id: RequestId { cpu: 0, seq: 1 }, addr: 0x2800, len: 64 };
 /// assert_eq!(sw.route(&pkt), Route::To(Endpoint::Mem(1)));
 /// ```
 #[derive(Debug)]
 pub struct Switch {
-    cfg: SwitchConfig,
     table: GlobalRangeMap,
-    ports: HashMap<Endpoint, SerialResource>,
-    forwarded: u64,
-    rerouted: u64,
 }
 
 /// Switch timing/bandwidth parameters.
 ///
-/// Forwarding charges derive from `Packet::wire_bytes()` and these
+/// Forwarding charges derive from the message's wire bytes and these
 /// parameters only — the satellite audit found no flat magic-number costs
 /// here; `min_frame_bytes` parametrizes the one implicit assumption (that
 /// arbitrarily small frames serialize in proportionally small time, i.e. a
@@ -81,14 +75,8 @@ impl Default for SwitchConfig {
 
 impl Switch {
     /// Creates a switch with the given global translation table.
-    pub fn new(cfg: SwitchConfig, table: GlobalRangeMap) -> Switch {
-        Switch {
-            cfg,
-            table,
-            ports: HashMap::new(),
-            forwarded: 0,
-            rerouted: 0,
-        }
+    pub fn new(table: GlobalRangeMap) -> Switch {
+        Switch { table }
     }
 
     /// The routing decision for `pkt` — a pure function, no timing.
@@ -116,43 +104,6 @@ impl Switch {
             }
             Packet::ReadReply { .. } | Packet::WriteAck { .. } => Route::To(requester),
         }
-    }
-
-    /// Charges switch pipeline + egress serialization for forwarding `pkt`
-    /// toward `to`, given it entered the switch at `now`. Returns the time
-    /// the last byte leaves the egress port.
-    pub fn forward(&mut self, now: SimTime, pkt: &Packet, to: Endpoint) -> SimTime {
-        self.forwarded += 1;
-        if matches!(pkt, Packet::Iter(p) if matches!(p.status, IterStatus::InFlight)) {
-            // Count mid-traversal reroutes separately from first dispatch:
-            // a reroute is an InFlight packet arriving *from* a memory node,
-            // which the caller signals by having already bumped hop counts —
-            // here we simply count all InFlight forwards; the cluster keeps
-            // the finer-grained statistic.
-            self.rerouted += 1;
-        }
-        let ready = now + self.cfg.pipeline_latency;
-        let charged = pkt.wire_bytes().max(self.cfg.min_frame_bytes);
-        let port = self
-            .ports
-            .entry(to)
-            .or_insert_with(|| SerialResource::new(self.cfg.port_bits_per_sec));
-        port.acquire(ready, charged).end
-    }
-
-    /// Packets forwarded in total.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// In-flight iterator packets forwarded (dispatches + reroutes).
-    pub fn iter_forwards(&self) -> u64 {
-        self.rerouted
-    }
-
-    /// Bytes moved out of each egress port so far.
-    pub fn port_bytes(&self, ep: Endpoint) -> u64 {
-        self.ports.get(&ep).map_or(0, |p| p.bytes_moved())
     }
 }
 
@@ -191,7 +142,7 @@ mod tests {
 
     #[test]
     fn inflight_routes_by_cur_ptr() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         assert_eq!(
             sw.route(&iter_pkt(0x1800, IterStatus::InFlight)),
             Route::To(Endpoint::Mem(0))
@@ -204,7 +155,7 @@ mod tests {
 
     #[test]
     fn finished_routes_to_requester() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         for status in [
             IterStatus::Done { code: 0 },
             IterStatus::IterLimit,
@@ -221,7 +172,7 @@ mod tests {
 
     #[test]
     fn invalid_pointer_notifies_cpu() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         assert_eq!(
             sw.route(&iter_pkt(0xdead_beef, IterStatus::InFlight)),
             Route::InvalidPointer {
@@ -232,7 +183,7 @@ mod tests {
 
     #[test]
     fn reads_and_writes_route_by_address() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         let id = RequestId { cpu: 0, seq: 9 };
         assert_eq!(
             sw.route(&Packet::Read {
@@ -258,72 +209,5 @@ mod tests {
             sw.route(&Packet::WriteAck { id }),
             Route::To(Endpoint::Cpu(0))
         );
-    }
-
-    #[test]
-    fn forwarding_charges_pipeline_and_serialization() {
-        let mut sw = Switch::new(SwitchConfig::default(), table());
-        let pkt = iter_pkt(0x1800, IterStatus::InFlight);
-        let t0 = SimTime::ZERO;
-        let out = sw.forward(t0, &pkt, Endpoint::Mem(0));
-        let expect =
-            SimTime::from_nanos(600) + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-        assert_eq!(out, expect);
-        assert_eq!(sw.forwarded(), 1);
-        assert_eq!(sw.iter_forwards(), 1);
-        assert_eq!(sw.port_bytes(Endpoint::Mem(0)), pkt.wire_bytes());
-        assert_eq!(sw.port_bytes(Endpoint::Mem(1)), 0);
-    }
-
-    #[test]
-    fn forward_charge_derives_from_wire_bytes() {
-        // Satellite audit: the egress occupancy is pipeline + f(wire_bytes),
-        // with the min-frame clamp the only (opt-in) deviation and the
-        // default clamp of zero preserving pure byte-proportional charges.
-        let id = RequestId { cpu: 0, seq: 0 };
-        for len in [1u32, 64, 4096] {
-            let pkt = Packet::ReadReply { id, len };
-            let mut sw = Switch::new(SwitchConfig::default(), table());
-            let out = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-            let expect = SimTime::from_nanos(600)
-                + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-            assert_eq!(out, expect, "len {len}");
-        }
-        // With a 64 B minimum frame, a tiny packet is clamped up...
-        let clamped = SwitchConfig {
-            min_frame_bytes: 1_000,
-            ..SwitchConfig::default()
-        };
-        let tiny = Packet::ReadReply { id, len: 1 };
-        let mut sw = Switch::new(clamped, table());
-        let out = sw.forward(SimTime::ZERO, &tiny, Endpoint::Cpu(0));
-        assert_eq!(
-            out,
-            SimTime::from_nanos(600) + SimTime::serialization(1_000, 100_000_000_000)
-        );
-        // ...while packets above the clamp still charge exactly their bytes.
-        let big = Packet::ReadReply { id, len: 8192 };
-        let mut sw = Switch::new(clamped, table());
-        let out = sw.forward(SimTime::ZERO, &big, Endpoint::Cpu(0));
-        assert_eq!(
-            out,
-            SimTime::from_nanos(600) + SimTime::serialization(big.wire_bytes(), 100_000_000_000)
-        );
-    }
-
-    #[test]
-    fn same_port_serializes_back_to_back() {
-        let mut sw = Switch::new(SwitchConfig::default(), table());
-        let pkt = Packet::ReadReply {
-            id: RequestId { cpu: 0, seq: 0 },
-            len: 8192,
-        };
-        let a = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-        let b = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-        let ser = SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-        assert_eq!(b - a, ser, "second packet queued behind the first");
-        // A different port is independent.
-        let c = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(1));
-        assert_eq!(c, a);
     }
 }

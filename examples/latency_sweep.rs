@@ -97,13 +97,12 @@
 //! `BENCH_traced_sweep.json` carrying the per-phase latency attribution
 //! (`"phase"` objects) that CI's trace gate validates.
 
-use pulse::workloads::Distribution;
-use pulse::{Engine, Phase, RunCounters, TraceConfig};
+use pulse::{Phase, RunCounters};
 use pulse_bench::ci::{
     self, ci_curves, CPUS, CRASH_AT, CRASH_NODES, DISPATCH_CONTEXTS, DISPATCH_OCCUPANCY,
-    FABRIC_NODES, FABRIC_TOPOLOGY, GRID_CACHE_BYTES, GRID_THETAS_MILLI, NODES, SEED, SLO_P99_US,
+    GRID_CACHE_BYTES, GRID_THETAS_MILLI, NODES, SEED, SLO_P99_US,
 };
-use pulse_bench::{simspeed_json, sweep_json, AppKind, SweepPoint, SweepReport};
+use pulse_bench::{simspeed_json, sweep_json, SweepReport};
 
 fn main() -> Result<(), pulse::Error> {
     let (loads_kops, requests, workers, trace_path) = parse_args();
@@ -288,23 +287,12 @@ fn main() -> Result<(), pulse::Error> {
     Ok(())
 }
 
-/// One fully-traced rung, run after the sweep so tracing never touches the
-/// golden ladder: the routed leaf-spine WebService deployment with span
-/// recording on. Writes the Perfetto-loadable Chrome trace to `path` and a
-/// one-curve sweep document (with the `"phase"` attribution object) to
-/// `BENCH_traced_sweep.json`, then prints the per-phase breakdown.
+/// Runs [`ci::traced_rung`]: writes the Perfetto-loadable Chrome trace to
+/// `path` and the one-curve sweep document (with the `"phase"`
+/// attribution object) to `BENCH_traced_sweep.json`, then prints the
+/// per-phase breakdown.
 fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pulse::Error> {
-    let (mut runtime, mut app) = ci::rack(FABRIC_NODES)
-        .topology(FABRIC_TOPOLOGY)
-        .trace(Some(TraceConfig::default()))
-        .build_with(AppKind::WebService(Distribution::Zipfian).build())?;
-    let reqs: Vec<_> = (0..requests).map(|_| app.next_request()).collect();
-    let arrivals = pulse::ArrivalProcess::poisson(load_kops * 1e3, SEED);
-    let rep = runtime.execute_open_loop(&reqs, arrivals)?;
-
-    let chrome = runtime
-        .trace_json()
-        .expect("tracing was enabled on this runtime");
+    let (curve, chrome) = ci::traced_rung(requests, load_kops)?;
     std::fs::write(path, &chrome)
         .map_err(|e| pulse::Error::Config(format!("writing {path}: {e}")))?;
     println!(
@@ -312,15 +300,10 @@ fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pu
         chrome.len()
     );
 
-    let point = SweepPoint::from_open_loop(&rep);
-    let attribution = point
+    let attribution = curve.points[0]
         .phase
         .clone()
         .expect("a traced rung must carry phase attribution");
-    let curve = SweepReport {
-        label: "pulse-leafspine-traced".into(),
-        points: vec![point],
-    };
     let doc = sweep_json(&[curve]);
     std::fs::write("BENCH_traced_sweep.json", &doc)
         .map_err(|e| pulse::Error::Config(format!("writing BENCH_traced_sweep.json: {e}")))?;

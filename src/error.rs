@@ -9,6 +9,7 @@
 //! handle one type with `?` instead of a mix of panics and
 //! `Box<dyn Error>`.
 
+use pulse_core::ClusterError;
 use pulse_dispatch::CompileError;
 use pulse_ds::DsError;
 use pulse_mem::{CapacityExceeded, MemError};
@@ -95,6 +96,15 @@ impl From<ExecError> for Error {
 impl From<CapacityExceeded> for Error {
     fn from(e: CapacityExceeded) -> Self {
         Error::Capacity(e)
+    }
+}
+
+impl From<ClusterError> for Error {
+    fn from(e: ClusterError) -> Self {
+        match e {
+            ClusterError::Config(msg) => Error::Config(msg),
+            ClusterError::Capacity(e) => Error::Capacity(e),
+        }
     }
 }
 

@@ -21,7 +21,6 @@
 
 use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
-use pulse_accel::PipelineOrg;
 use pulse_core::{
     CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
     DispatchConfig, FaultEvent, PhaseAttribution, PulseCluster, PulseMode, TraceConfig, TraceSink,
@@ -275,49 +274,15 @@ impl PulseBuilder {
                 "the in-flight window must be positive".into(),
             ));
         }
-        if self.config.cpus == 0 {
-            return Err(Error::Config("a rack needs at least one CPU node".into()));
-        }
-        if self.config.dispatch.contexts == 0 {
-            return Err(Error::Config(
-                "a CPU node needs at least one dispatch context".into(),
-            ));
-        }
-        let org = self.config.accel.org;
-        let pipelines = match org {
-            PipelineOrg::Disaggregated { logic, memory } => logic.min(memory),
-            PipelineOrg::Coupled { cores } => cores,
-        };
-        if pipelines == 0 {
-            return Err(Error::Config(format!(
-                "accelerator organization {org:?} leaves a pipeline pool empty"
-            )));
-        }
         if self.granularity == 0 {
             return Err(Error::Config("extent granularity must be positive".into()));
         }
-        if let Err(msg) = self.config.cache.validate() {
-            return Err(Error::Config(msg));
-        }
-        self.config.topology.validate().map_err(Error::Config)?;
         if self.replication == 0 {
             return Err(Error::Config(
                 "replication factor must be at least 1".into(),
             ));
         }
-        if let Some(f) = self
-            .config
-            .faults
-            .iter()
-            .find(|f| f.kind.node() >= self.nodes)
-        {
-            return Err(Error::Config(format!(
-                "fault {:?} names node {} but the rack has {}",
-                f.kind,
-                f.kind.node(),
-                self.nodes
-            )));
-        }
+        self.config.validate(self.nodes).map_err(Error::Config)?;
         let mut mem = ClusterMemory::new(self.nodes);
         mem.set_replication(self.replication);
         Ok((mem, ClusterAllocator::new(self.placement, self.granularity)))
@@ -821,12 +786,11 @@ impl OpenLoopDriver {
                 // the baselines: a system that falls behind the offered
                 // rate still shows what that rate asks of its hottest CPU
                 // downlink.
-                link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
-                    let window = last_arrival
+                link_utilization: runtime.cluster().network().cpu_downlink_peak(
+                    last_arrival
                         .saturating_sub(first_arrival)
-                        .max(SimTime::from_nanos(1));
-                    f.cpu_downlink_peak(window)
-                }),
+                        .max(SimTime::from_nanos(1)),
+                ),
                 queue_depth: report.queue_depth,
                 failovers: report.failovers - base.failovers,
                 unavailable_completions: unavailable,

@@ -839,3 +839,42 @@ fn builder_rejects_bad_fault_wiring() {
         .unwrap_err();
     assert!(matches!(err, Error::Config(_)), "{err:?}");
 }
+
+/// `PulseCluster::try_new` runs the builder's configuration check: an
+/// invalid configuration is `ClusterError::Config`, never a panic, and a
+/// TCAM overflow still reaches the façade as `Error::Capacity`.
+#[test]
+fn cluster_try_new_rejects_invalid_config() {
+    use pulse::core::ClusterError;
+    use pulse::mem::ClusterMemory;
+    use pulse::{FaultEvent, FaultKind};
+    let bad = [
+        ClusterConfig {
+            topology: TopologySpec::Ring { switches: 0 },
+            ..ClusterConfig::default()
+        },
+        ClusterConfig {
+            cpus: 0,
+            ..ClusterConfig::default()
+        },
+        ClusterConfig {
+            faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(2))],
+            ..ClusterConfig::default()
+        },
+    ];
+    for cfg in bad {
+        let err = PulseCluster::try_new(cfg, ClusterMemory::new(2)).unwrap_err();
+        assert!(matches!(err, ClusterError::Config(_)), "{err:?}");
+        assert!(matches!(Error::from(err), Error::Config(_)));
+    }
+    let err = PulseBuilder::new()
+        .nodes(2)
+        .granularity(4096)
+        .config(ClusterConfig {
+            tcam_capacity: 1,
+            ..ClusterConfig::default()
+        })
+        .app(WebServiceConfig::default())
+        .unwrap_err();
+    assert!(matches!(err, Error::Capacity(_)), "{err:?}");
+}

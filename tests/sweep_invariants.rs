@@ -5,7 +5,7 @@
 //! ISA v2. The ladder runs once per test binary on the shared curve table
 //! (`pulse_bench::ci`) — the same nineteen curves
 //! `examples/latency_sweep.rs` writes — and both emitted documents are
-//! byte-compared against their pinned goldens.
+//! byte-compared against their pinned goldens, as is the traced rung's.
 
 use std::sync::OnceLock;
 
@@ -89,6 +89,33 @@ fn both_documents_match_their_goldens() {
         &sweep_json(ladder().spec_curves()),
         include_str!("golden/spec_sweep_pr13.json"),
         "spec_sweep_pr13.json",
+    );
+}
+
+/// 64-bit FNV-1a: a compact fingerprint of a document too large to pin
+/// as a golden file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The traced rung is the only routed run with tracing on: its document
+/// pins the wire phase, and its Chrome trace (pinned by length and
+/// fingerprint) every link track name, every span's track and every
+/// counter sample.
+#[test]
+fn the_traced_rung_matches_its_golden() {
+    let (curve, chrome) = ci::traced_rung(REQUESTS, LOADS_KOPS[0]).expect("the traced rung runs");
+    assert_golden(
+        &sweep_json(&[curve]),
+        include_str!("golden/traced_sweep_pr17.json"),
+        "traced_sweep_pr17.json",
+    );
+    assert_eq!(
+        (chrome.len(), fnv1a(chrome.as_bytes())),
+        (951_074, 0xa1d1_1b76_4afa_c77f),
+        "the traced rung's Chrome trace changed"
     );
 }
 
